@@ -290,7 +290,7 @@ pub fn serve(
     let l = report.latency;
     let _ = write!(
         out,
-        "  push latency: p50 {} ns, p90 {} ns, p99 {} ns, max {} ns, mean {} ns",
+        "  push latency (1 in 64 sampled): p50 {} ns, p90 {} ns, p99 {} ns, max {} ns, mean {} ns",
         l.p50_ns, l.p90_ns, l.p99_ns, l.max_ns, l.mean_ns
     );
     Ok(out)

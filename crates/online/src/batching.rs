@@ -10,7 +10,7 @@
 //!   starts streams only for non-empty windows; unlike plain batching those
 //!   streams merge.
 
-use crate::dyadic::{DyadicConfig, DyadicMerger};
+use crate::dyadic::{dyadic_total_cost, DyadicConfig};
 
 /// Quantizes raw arrival times to their guaranteed-delay window ends and
 /// deduplicates: window `k` covers `((k−1)·delay, k·delay]` and is served at
@@ -44,15 +44,7 @@ pub fn plain_batching_cost(arrivals: &[f64], delay: f64, media_len: f64) -> f64 
 /// Batched dyadic: dyadic stream merging over the batch times. Returns
 /// total bandwidth in the same time units as `media_len`.
 pub fn batched_dyadic_cost(cfg: DyadicConfig, arrivals: &[f64], delay: f64, media_len: f64) -> f64 {
-    let batches = batch_arrivals(arrivals, delay);
-    if batches.is_empty() {
-        return 0.0;
-    }
-    let mut m = DyadicMerger::new(cfg, media_len);
-    for &t in &batches {
-        m.on_arrival(t);
-    }
-    m.total_cost()
+    dyadic_total_cost(cfg, media_len, &batch_arrivals(arrivals, delay))
 }
 
 #[cfg(test)]

@@ -17,6 +17,13 @@
 //!
 //! The paper's §4.2 variant uses α = φ, with β = 0.5 for Poisson arrivals
 //! and `β = F_h / L` for constant-rate arrivals.
+//!
+//! [`DyadicMerger`] keeps open-tree state only: the frame stack (at most
+//! ~60 levels deep) plus arrival and root counters. Nothing grows with the
+//! arrival count, so a long-running server can drive it indefinitely. The
+//! batch view is a fold: [`dyadic_forest`] replays the decision stream
+//! over an arrival slice the caller holds, and [`dyadic_total_cost`]
+//! prices that forest.
 
 use sm_core::{merge_cost, MergeForest};
 
@@ -68,17 +75,21 @@ struct Frame {
 
 /// On-line (α,β)-dyadic merger over continuous arrival times.
 ///
-/// Feed arrivals in nondecreasing time order with [`DyadicMerger::on_arrival`];
-/// extract the committed merge forest and its bandwidth cost at any time.
+/// Feed arrivals in strictly increasing time order with
+/// [`DyadicMerger::on_arrival`]; each returns its [`MergeDecision`] at
+/// once. The merger keeps only the open tree's frame stack and O(1)
+/// counters, so its memory is bounded by the tree depth, not by the
+/// arrival count. The batch views — [`dyadic_forest`] and
+/// [`dyadic_total_cost`] — are folds of the same decision stream over an
+/// arrival slice the caller holds.
 #[derive(Debug, Clone)]
 pub struct DyadicMerger {
     cfg: DyadicConfig,
     media_len: f64,
+    /// The open tree's live frames, root first.
     stack: Vec<Frame>,
-    times: Vec<f64>,
-    parents: Vec<Option<usize>>,
-    /// Index into `times` where each tree starts.
-    tree_starts: Vec<usize>,
+    arrivals: usize,
+    roots: usize,
     last_time: f64,
 }
 
@@ -99,38 +110,38 @@ impl DyadicMerger {
             cfg,
             media_len,
             stack: Vec::new(),
-            times: Vec::new(),
-            parents: Vec::new(),
-            tree_starts: Vec::new(),
+            arrivals: 0,
+            roots: 0,
             last_time: f64::NEG_INFINITY,
         }
     }
 
     /// Number of arrivals processed.
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.arrivals
     }
 
     /// `true` before any arrival.
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.arrivals == 0
     }
 
-    /// Processes an arrival at time `t`; returns the node index assigned.
+    /// Processes an arrival at time `t` and returns its merge decision
+    /// (global node index, tree index, parent).
     ///
     /// # Panics
     /// Panics if `t` precedes an earlier arrival (feed in order; ties are
     /// allowed only logically — use strictly increasing times, e.g. batch
     /// co-arrivals first).
-    pub fn on_arrival(&mut self, t: f64) -> usize {
+    pub fn on_arrival(&mut self, t: f64) -> MergeDecision {
         assert!(
             t > self.last_time,
             "arrivals must be fed in strictly increasing order ({t} after {})",
             self.last_time
         );
         self.last_time = t;
-        let node = self.times.len();
-        self.times.push(t);
+        let node = self.arrivals;
+        self.arrivals += 1;
         // Expire frames whose merge window closed before t. The root frame
         // expiring means t starts a new tree.
         while let Some(top) = self.stack.last() {
@@ -140,28 +151,26 @@ impl DyadicMerger {
                 break;
             }
         }
-        match self.stack.last().copied() {
+        let (parent, end) = match self.stack.last().copied() {
             None => {
-                self.parents.push(None);
-                self.tree_starts.push(node);
-                self.stack.clear();
-                self.stack.push(Frame {
-                    node,
-                    start: t,
-                    end: t + self.cfg.beta * self.media_len,
-                });
+                self.roots += 1;
+                (None, t + self.cfg.beta * self.media_len)
             }
-            Some(parent) => {
-                self.parents.push(Some(parent.node));
-                let end = self.sub_interval_end(parent.start, parent.end, t);
-                self.stack.push(Frame {
-                    node,
-                    start: t,
-                    end,
-                });
-            }
+            Some(parent) => (
+                Some(parent.node),
+                self.sub_interval_end(parent.start, parent.end, t),
+            ),
+        };
+        self.stack.push(Frame {
+            node,
+            start: t,
+            end,
+        });
+        MergeDecision {
+            node,
+            tree: self.roots - 1,
+            parent,
         }
-        node
     }
 
     /// Right endpoint of the geometric sub-interval of `(start, end]`
@@ -188,60 +197,44 @@ impl DyadicMerger {
         sub_end.max(t)
     }
 
-    /// Parent (global arrival index) committed for `node`; `None` for tree
-    /// roots. The decision read-back behind the crate's
-    /// [`IncrementalPolicy`](crate::incremental::IncrementalPolicy) impl.
-    pub fn parent_of(&self, node: usize) -> Option<usize> {
-        self.parents[node]
-    }
-
-    /// The committed merge forest (so far) and the global arrival times —
-    /// a fold of the recorded decision stream through a [`ForestBuilder`],
-    /// so the batch view is exactly what the arrival-at-a-time decisions
-    /// built.
-    pub fn forest(&self) -> (MergeForest, Vec<f64>) {
-        assert!(!self.times.is_empty(), "no arrivals processed");
-        let mut builder = ForestBuilder::new();
-        for (node, &parent) in self.parents.iter().enumerate() {
-            let tree = builder.trees() - usize::from(parent.is_some());
-            builder
-                .apply(&MergeDecision { node, tree, parent })
-                .expect("dyadic decisions are structurally valid");
-        }
-        (
-            builder.finish().expect("at least one tree"),
-            self.times.clone(),
-        )
-    }
-
-    /// Total server bandwidth committed so far, in slot-units: `L` per root
-    /// plus receive-two merge costs.
-    pub fn total_cost(&self) -> f64 {
-        if self.times.is_empty() {
-            return 0.0;
-        }
-        let (forest, times) = self.forest();
-        let mut total = 0.0;
-        for (range, tree) in forest.iter_with_ranges() {
-            total += self.media_len + merge_cost(tree, &times[range]);
-        }
-        total
-    }
-
     /// Number of full (root) streams started.
     pub fn roots(&self) -> usize {
-        self.tree_starts.len()
+        self.roots
     }
 }
 
-/// Runs the dyadic algorithm over a whole arrival sequence (immediate
-/// service: one stream per arrival time). Returns total cost in slot-units.
-pub fn dyadic_total_cost(cfg: DyadicConfig, media_len: f64, arrivals: &[f64]) -> f64 {
-    let mut m = DyadicMerger::new(cfg, media_len);
-    for &t in arrivals {
-        m.on_arrival(t);
+/// The dyadic merge forest over a whole arrival sequence — a fold of the
+/// merger's decision stream through a [`ForestBuilder`], so the batch view
+/// is exactly what the arrival-at-a-time decisions built. `times` index
+/// the forest's nodes.
+///
+/// # Panics
+/// Panics if `times` is empty or not strictly increasing.
+pub fn dyadic_forest(cfg: DyadicConfig, media_len: f64, times: &[f64]) -> MergeForest {
+    assert!(!times.is_empty(), "no arrivals processed");
+    let mut merger = DyadicMerger::new(cfg, media_len);
+    let mut builder = ForestBuilder::new();
+    for &t in times {
+        builder
+            .apply(&merger.on_arrival(t))
+            .expect("dyadic decisions are structurally valid");
     }
-    m.total_cost()
+    builder.finish().expect("at least one tree")
+}
+
+/// Runs the dyadic algorithm over a whole arrival sequence (immediate
+/// service: one stream per arrival time). Returns total cost in slot-units:
+/// `L` per root plus receive-two merge costs; 0 for no arrivals.
+pub fn dyadic_total_cost(cfg: DyadicConfig, media_len: f64, arrivals: &[f64]) -> f64 {
+    if arrivals.is_empty() {
+        return 0.0;
+    }
+    let forest = dyadic_forest(cfg, media_len, arrivals);
+    let mut total = 0.0;
+    for (range, tree) in forest.iter_with_ranges() {
+        total += media_len + merge_cost(tree, &arrivals[range]);
+    }
+    total
 }
 
 #[cfg(test)]
@@ -261,30 +254,32 @@ mod tests {
     fn single_arrival_is_one_root() {
         let m = feed(DyadicConfig::classic(), 10.0, &[0.0]);
         assert_eq!(m.roots(), 1);
-        assert_eq!(m.total_cost(), 10.0);
+        assert_eq!(
+            dyadic_total_cost(DyadicConfig::classic(), 10.0, &[0.0]),
+            10.0
+        );
     }
 
     #[test]
     fn arrival_past_window_starts_new_root() {
         // beta*L = 5: arrival at 6 is outside (0, 5].
-        let m = feed(DyadicConfig::classic(), 10.0, &[0.0, 6.0]);
+        let ts = [0.0, 6.0];
+        let m = feed(DyadicConfig::classic(), 10.0, &ts);
         assert_eq!(m.roots(), 2);
-        assert_eq!(m.total_cost(), 20.0);
+        assert_eq!(dyadic_total_cost(DyadicConfig::classic(), 10.0, &ts), 20.0);
     }
 
     #[test]
     fn classic_dyadic_halving_structure() {
         // Window (0, 5]: I_1 = (0, 2.5], I_2 = (2.5, 3.75], ...
         // Arrivals 1.0 and 2.0 share I_1: 2.0 merges under 1.0.
-        let m = feed(DyadicConfig::classic(), 10.0, &[0.0, 1.0, 2.0]);
-        let (forest, _) = m.forest();
+        let forest = dyadic_forest(DyadicConfig::classic(), 10.0, &[0.0, 1.0, 2.0]);
         assert_eq!(forest.num_trees(), 1);
         let tree = &forest.trees()[0];
         assert_eq!(tree.parent(1), Some(0));
         assert_eq!(tree.parent(2), Some(1));
         // 3.0 falls in I_2 of the root: child of the root, not of 1.0.
-        let m = feed(DyadicConfig::classic(), 10.0, &[0.0, 1.0, 3.0]);
-        let (forest, _) = m.forest();
+        let forest = dyadic_forest(DyadicConfig::classic(), 10.0, &[0.0, 1.0, 3.0]);
         assert_eq!(forest.trees()[0].parent(2), Some(0));
     }
 
@@ -293,8 +288,8 @@ mod tests {
         // Inside I_1 = (0, 2.5] of the root, the child at 0.5 re-splits
         // (0.5, 2.5]: its I_1 is (0.5, 1.5]. Arrival 1.2 goes under 0.5;
         // arrival 2.0 (in (1.5, 2.5]) also under 0.5; arrival 2.6 under root.
-        let m = feed(DyadicConfig::classic(), 10.0, &[0.0, 0.5, 1.2, 2.0, 2.6]);
-        let (forest, _) = m.forest();
+        let ts = [0.0, 0.5, 1.2, 2.0, 2.6];
+        let forest = dyadic_forest(DyadicConfig::classic(), 10.0, &ts);
         let t = &forest.trees()[0];
         assert_eq!(t.parent(1), Some(0)); // 0.5 under root
         assert_eq!(t.parent(2), Some(1)); // 1.2 under 0.5
@@ -310,11 +305,9 @@ mod tests {
             DyadicConfig::golden_poisson(),
             DyadicConfig::golden_constant_rate(100),
         ] {
-            let m = feed(cfg, 100.0, &ts);
-            let (forest, times) = m.forest();
-            for (range, tree) in forest.iter_with_ranges() {
+            let forest = dyadic_forest(cfg, 100.0, &ts);
+            for tree in forest.trees() {
                 assert!(tree.has_preorder_property());
-                let _ = &times[range];
             }
         }
     }
@@ -324,9 +317,8 @@ mod tests {
         // β ≤ 1/2 keeps every stream within the media:
         // ℓ(x) ≤ 2·span ≤ 2βL ≤ L.
         let ts: Vec<f64> = (0..300).map(|i| i as f64 * 0.23).collect();
-        let m = feed(DyadicConfig::golden_poisson(), 20.0, &ts);
-        let (forest, times) = m.forest();
-        validate_forest(&forest, &times, 20, ValidationOptions::default()).unwrap();
+        let forest = dyadic_forest(DyadicConfig::golden_poisson(), 20.0, &ts);
+        validate_forest(&forest, &ts, 20, ValidationOptions::default()).unwrap();
     }
 
     #[test]
@@ -334,11 +326,12 @@ mod tests {
         let ts = [0.0, 1.0, 2.0, 30.0, 31.5];
         let m = feed(DyadicConfig::classic(), 20.0, &ts);
         assert_eq!(m.roots(), 2);
-        let direct = m.total_cost();
-        let (forest, times) = m.forest();
+        let direct = dyadic_total_cost(DyadicConfig::classic(), 20.0, &ts);
+        let forest = dyadic_forest(DyadicConfig::classic(), 20.0, &ts);
+        assert_eq!(forest.num_trees(), m.roots());
         let mut sum = 0.0;
         for (range, tree) in forest.iter_with_ranges() {
-            sum += 20.0 + merge_cost(tree, &times[range]);
+            sum += 20.0 + merge_cost(tree, &ts[range]);
         }
         assert!((direct - sum).abs() < 1e-9);
     }

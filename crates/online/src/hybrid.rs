@@ -14,7 +14,7 @@
 //! one slot) holds across transitions.
 
 use crate::delay_guaranteed::DelayGuaranteedOnline;
-use crate::dyadic::{DyadicConfig, DyadicMerger};
+use crate::dyadic::{dyadic_total_cost, DyadicConfig};
 
 /// Which regime served a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,8 +62,9 @@ pub struct HybridServer {
     dg_run_slots: u64,
     /// Cost of completed DG runs.
     dg_completed_cost: u64,
-    /// Active dyadic merger (rebuilt on each entry into dyadic mode).
-    dyadic: Option<DyadicMerger>,
+    /// Batch times of the current dyadic run (cleared on each entry into
+    /// dyadic mode); its cost is the dyadic fold over them.
+    dyadic_times: Vec<f64>,
     /// Cost of completed dyadic runs.
     dyadic_completed_cost: f64,
     /// Mode decisions per slot (for inspection/metrics).
@@ -84,7 +85,7 @@ impl HybridServer {
             mode: Mode::Dyadic,
             dg_run_slots: 0,
             dg_completed_cost: 0,
-            dyadic: None,
+            dyadic_times: Vec::new(),
             dyadic_completed_cost: 0.0,
             history: Vec::new(),
         }
@@ -112,11 +113,7 @@ impl HybridServer {
             Mode::Dyadic => {
                 if !arrivals_in_slot.is_empty() {
                     // Batch the slot's arrivals to the slot end.
-                    let t = (self.slot + 1) as f64;
-                    let merger = self.dyadic.get_or_insert_with(|| {
-                        DyadicMerger::new(self.cfg.dyadic, self.media_len as f64)
-                    });
-                    merger.on_arrival(t);
+                    self.dyadic_times.push((self.slot + 1) as f64);
                 }
             }
         }
@@ -143,9 +140,8 @@ impl HybridServer {
                 self.dg_run_slots = 0;
             }
             Mode::Dyadic => {
-                if let Some(m) = self.dyadic.take() {
-                    self.dyadic_completed_cost += m.total_cost();
-                }
+                self.dyadic_completed_cost += self.dyadic_run_cost();
+                self.dyadic_times.clear();
             }
         }
     }
@@ -154,9 +150,13 @@ impl HybridServer {
     pub fn total_cost(&self) -> f64 {
         let open = match self.mode {
             Mode::DelayGuaranteed => self.dg.total_cost_after(self.dg_run_slots) as f64,
-            Mode::Dyadic => self.dyadic.as_ref().map_or(0.0, DyadicMerger::total_cost),
+            Mode::Dyadic => self.dyadic_run_cost(),
         };
         self.dg_completed_cost as f64 + self.dyadic_completed_cost + open
+    }
+
+    fn dyadic_run_cost(&self) -> f64 {
+        dyadic_total_cost(self.cfg.dyadic, self.media_len as f64, &self.dyadic_times)
     }
 
     /// Per-slot mode decisions so far.

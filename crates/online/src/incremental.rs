@@ -97,18 +97,13 @@ impl IncrementalPolicy for DelayGuaranteedOnline {
 }
 
 /// The dyadic baseline is natively arrival-at-a-time: `push` is
-/// [`DyadicMerger::on_arrival`] plus the decision read-back.
+/// [`DyadicMerger::on_arrival`].
 ///
 /// # Panics
 /// Panics if `time` does not strictly increase, as `on_arrival` does.
 impl IncrementalPolicy for DyadicMerger {
     fn push(&mut self, time: f64) -> MergeDecision {
-        let node = self.on_arrival(time);
-        MergeDecision {
-            node,
-            tree: self.roots() - 1,
-            parent: self.parent_of(node),
-        }
+        self.on_arrival(time)
     }
 
     fn arrivals(&self) -> usize {
@@ -262,11 +257,7 @@ mod tests {
     #[test]
     fn dyadic_fold_matches_forest() {
         let ts: Vec<f64> = (0..200).map(|i| i as f64 * 0.37).collect();
-        let mut batch = DyadicMerger::new(DyadicConfig::golden_poisson(), 100.0);
-        for &t in &ts {
-            batch.on_arrival(t);
-        }
-        let (reference, _) = batch.forest();
+        let reference = crate::dyadic::dyadic_forest(DyadicConfig::golden_poisson(), 100.0, &ts);
         let mut incremental = DyadicMerger::new(DyadicConfig::golden_poisson(), 100.0);
         let folded = fold(&mut incremental, &ts);
         assert_eq!(folded.trees(), reference.trees());

@@ -9,7 +9,8 @@
 //!   and Theorems 21/22 bound its cost against the off-line optimum.
 //! * [`dyadic`] — the (α,β)-dyadic stream-merging algorithm of Coffman,
 //!   Jelenković and Momčilović \[9\], the comparison baseline of §4.2
-//!   (stack-based on-line construction, immediate or batched service).
+//!   (stack-based on-line construction over open-tree state only, immediate
+//!   or batched service; the batch forest is a fold over the arrivals).
 //! * [`batching`] — plain batching (a full stream per non-empty delay
 //!   window), the classical baseline of Theorem 14.
 //! * [`patching`] — the depth-one merging predecessor (threshold patching,

@@ -192,39 +192,110 @@ impl ServeConfig {
     }
 }
 
-/// Wall-clock ingest cost per served arrival, in nanoseconds.
+/// Wall-clock cost of sampled engine pushes, in nanoseconds. The serve
+/// loop times one push in 64 (always including the first), so these
+/// figures describe that sample, not every push.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencyStats {
-    /// Median push latency.
+    /// Median sampled push latency.
     pub p50_ns: u64,
-    /// 90th-percentile push latency.
+    /// 90th-percentile sampled push latency.
     pub p90_ns: u64,
-    /// 99th-percentile push latency.
+    /// 99th-percentile sampled push latency.
     pub p99_ns: u64,
-    /// Worst single push.
+    /// Worst sampled push (exact).
     pub max_ns: u64,
-    /// Amortized mean — total ingest time over served arrivals.
+    /// Mean over the sampled pushes (exact).
     pub mean_ns: u64,
 }
 
-impl LatencyStats {
-    /// Percentiles of a latency sample; all zeros on an empty sample.
-    pub(crate) fn from_samples(mut ns: Vec<u64>) -> Self {
-        if ns.is_empty() {
-            return Self::default();
-        }
-        ns.sort_unstable();
-        let at = |q: f64| {
-            let idx = ((ns.len() - 1) as f64 * q).round() as usize;
-            ns.get(idx).copied().unwrap_or(0)
-        };
-        let total: u64 = ns.iter().sum();
+/// The bucket of a count tally (`total` samples) holding quantile `q`:
+/// the sample at index `round((n − 1)·q)` of the sorted sequence, the rank
+/// convention every percentile in this crate uses.
+fn rank_bucket(counts: &[u64], total: u64, q: f64) -> Option<usize> {
+    let rank = (total.saturating_sub(1) as f64 * q).round() as u64;
+    let mut seen = 0u64;
+    counts.iter().position(|&count| {
+        seen += count;
+        seen > rank
+    })
+}
+
+/// Sub-buckets per power-of-two octave, as a bit count: values below
+/// `2 · 2^LATENCY_SUB_BITS` are tallied exactly, larger ones in buckets
+/// at most 1/16 of their value wide.
+const LATENCY_SUB_BITS: u32 = 4;
+const LATENCY_SUB: usize = 1 << LATENCY_SUB_BITS;
+/// Enough buckets for every `u64`: the linear head plus one 16-bucket
+/// octave per remaining power of two.
+const LATENCY_BUCKETS: usize = (64 - LATENCY_SUB_BITS as usize + 1) * LATENCY_SUB;
+
+/// Fixed-size log-linear latency tally: nothing grows with the number of
+/// samples and no end-of-run sort is needed. Percentiles come back at
+/// bucket resolution (rounded down to the bucket floor); the maximum and
+/// the mean are exact.
+#[derive(Debug, Clone)]
+pub(crate) struct LatencyHistogram {
+    counts: [u64; LATENCY_BUCKETS],
+    total: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
         Self {
-            p50_ns: at(0.50),
-            p90_ns: at(0.90),
-            p99_ns: at(0.99),
-            max_ns: ns.last().copied().unwrap_or(0),
-            mean_ns: total / ns.len() as u64,
+            counts: [0; LATENCY_BUCKETS],
+            total: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
+impl LatencyHistogram {
+    /// The bucket holding `ns`.
+    fn bucket(ns: u64) -> usize {
+        if ns < 2 * LATENCY_SUB as u64 {
+            return ns as usize;
+        }
+        let shift = 63 - ns.leading_zeros() - LATENCY_SUB_BITS;
+        shift as usize * LATENCY_SUB + (ns >> shift) as usize
+    }
+
+    /// The smallest value that lands in bucket `i`.
+    fn floor(i: usize) -> u64 {
+        if i < 2 * LATENCY_SUB {
+            return i as u64;
+        }
+        let shift = i / LATENCY_SUB - 1;
+        ((i % LATENCY_SUB + LATENCY_SUB) as u64) << shift
+    }
+
+    pub(crate) fn record(&mut self, ns: u64) {
+        if let Some(c) = self.counts.get_mut(Self::bucket(ns)) {
+            *c += 1;
+        }
+        self.total += 1;
+        self.sum = self.sum.saturating_add(ns);
+        self.max = self.max.max(ns);
+    }
+
+    /// The bucket floor at quantile `q`.
+    fn quantile(&self, q: f64) -> u64 {
+        rank_bucket(&self.counts, self.total, q).map_or(self.max, Self::floor)
+    }
+
+    pub(crate) fn stats(&self) -> LatencyStats {
+        if self.total == 0 {
+            return LatencyStats::default();
+        }
+        LatencyStats {
+            p50_ns: self.quantile(0.50),
+            p90_ns: self.quantile(0.90),
+            p99_ns: self.quantile(0.99),
+            max_ns: self.max,
+            mean_ns: self.sum / self.total,
         }
     }
 }
@@ -281,19 +352,9 @@ impl DelayHistogram {
         self.sum += other.sum;
     }
 
-    /// The value at quantile `q` under the same rank convention as
-    /// [`LatencyStats`]: the sample at index `round((n − 1)·q)` of the
-    /// sorted sequence.
+    /// The value at quantile `q`.
     fn quantile(&self, q: f64) -> u64 {
-        let rank = ((self.total.saturating_sub(1)) as f64 * q).round() as u64;
-        let mut seen = 0u64;
-        for (value, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen > rank {
-                return value as u64;
-            }
-        }
-        self.max()
+        rank_bucket(&self.counts, self.total, q).map_or(self.max(), |value| value as u64)
     }
 
     fn max(&self) -> u64 {
@@ -319,7 +380,7 @@ impl DelayHistogram {
 
 /// What a single-title serving run did: traffic counts, the delay the
 /// planner handed out, the engine's summary, and the ingest loop's own
-/// latency accounting.
+/// sampled latency accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Arrivals the workload generator produced over the horizon.
@@ -334,7 +395,7 @@ pub struct ServeReport {
     /// The engine's whole-run aggregates, bit-identical to a batch
     /// simulation of the same served forest.
     pub summary: IncrementalSummary,
-    /// Per-push wall-clock percentiles over served arrivals.
+    /// Wall-clock percentiles over sampled pushes (1 in 64).
     pub latency: LatencyStats,
 }
 
@@ -348,12 +409,13 @@ pub enum ServeError {
         /// What it must satisfy.
         reason: &'static str,
     },
-    /// The merge policy named a parent the loop never pushed — a policy
+    /// The merge policy named a parent outside its open tree — a policy
     /// contract violation, never reachable with the built-in policies.
     PolicyDesync {
-        /// Policy-local index of the arrival being placed.
+        /// Group index (re-based across policy swaps) of the arrival being
+        /// placed.
         node: usize,
-        /// The unknown parent it named.
+        /// The group index of the parent it named.
         parent: usize,
     },
     /// The engine rejected a push mid-run.
@@ -610,6 +672,65 @@ mod tests {
         );
         let d = ServeError::PolicyDesync { node: 4, parent: 9 };
         assert_eq!(d.to_string(), "policy placed node 4 under unknown parent 9");
+    }
+
+    #[test]
+    fn latency_histogram_buckets_are_contiguous_and_log_linear() {
+        // Below 32 every value has its own bucket.
+        for ns in 0..32u64 {
+            assert_eq!(LatencyHistogram::bucket(ns), ns as usize);
+            assert_eq!(LatencyHistogram::floor(ns as usize), ns);
+        }
+        // Each bucket's floor maps back to it, the next floor to the next
+        // bucket, and no bucket is wider than 1/16 of its floor.
+        for i in 32..LATENCY_BUCKETS {
+            let lo = LatencyHistogram::floor(i);
+            assert_eq!(LatencyHistogram::bucket(lo), i);
+            if i + 1 < LATENCY_BUCKETS {
+                let next = LatencyHistogram::floor(i + 1);
+                assert_eq!(LatencyHistogram::bucket(next - 1), i);
+                assert!((next - lo) * 16 <= lo, "bucket {i}: [{lo}, {next})");
+            }
+        }
+        assert_eq!(LatencyHistogram::bucket(u64::MAX), LATENCY_BUCKETS - 1);
+    }
+
+    #[test]
+    fn latency_percentiles_are_within_one_bucket_of_the_exact_rank() {
+        // A fixed, skewed sample: a fast body with a slow tail, the shape
+        // engine pushes have (cheap attaches, costly tree closures).
+        let mut sample: Vec<u64> = (0..997u64)
+            .map(|i| 40 + (i * 7919) % 200 + if i % 50 == 0 { 3_000 + i * 13 } else { 0 })
+            .collect();
+        sample.extend([1, 250_000, 1_234_567]);
+        let mut h = LatencyHistogram::default();
+        for &ns in &sample {
+            h.record(ns);
+        }
+        let stats = h.stats();
+        sample.sort_unstable();
+        let exact = |q: f64| sample[((sample.len() - 1) as f64 * q).round() as usize];
+        for (q, got) in [
+            (0.50, stats.p50_ns),
+            (0.90, stats.p90_ns),
+            (0.99, stats.p99_ns),
+        ] {
+            let want = exact(q);
+            let (gb, wb) = (
+                LatencyHistogram::bucket(got),
+                LatencyHistogram::bucket(want),
+            );
+            assert!(
+                gb.abs_diff(wb) <= 1,
+                "q = {q}: got {got} (bucket {gb}), exact {want} (bucket {wb})"
+            );
+        }
+        assert_eq!(stats.max_ns, 1_234_567, "the maximum is exact");
+        let mean = sample.iter().sum::<u64>() / sample.len() as u64;
+        assert_eq!(stats.mean_ns, mean, "the mean is exact");
+        assert!(stats.p50_ns <= stats.p90_ns && stats.p90_ns <= stats.p99_ns);
+        assert!(stats.p99_ns <= stats.max_ns);
+        assert_eq!(LatencyHistogram::default().stats(), LatencyStats::default());
     }
 
     #[test]

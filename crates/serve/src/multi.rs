@@ -38,7 +38,10 @@
 //! The fresh policy numbers its decisions from zero; the loop re-bases
 //! parent indices by the group count at the swap point, so any policy
 //! whose decision stream is a function of its own push history composes
-//! transparently. Swapping Delay Guaranteed → Delay Guaranteed at a
+//! transparently. Parents resolve against the group heads of the
+//! policy's open tree only (a root decision clears the window), so a
+//! parent in a closed tree or not yet pushed is a typed
+//! [`ServeError::PolicyDesync`], never an engine error. Swapping Delay Guaranteed → Delay Guaranteed at a
 //! tree boundary (a multiple of the template's `tree_size()`) is a
 //! no-op: the template restarts per tree, so the decision stream — and
 //! therefore the whole run — is bit-identical (pinned by test).
@@ -64,12 +67,14 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use sm_core::{merge_runs, pipeline};
-use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
+use sm_online::{
+    DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy, MergeDecision,
+};
 use sm_server::PlannerMemo;
 use sm_sim::{Attach, ClientReport, IncrementalEngine, IncrementalSummary, SimConfig};
 use sm_workload::{ArrivalProcess, PoissonProcess};
 
-use crate::{DelayHistogram, DelayStats, LatencyStats, ServeError, MAX_HORIZON};
+use crate::{DelayHistogram, DelayStats, LatencyHistogram, LatencyStats, ServeError, MAX_HORIZON};
 
 /// Per-batch seed mixer (splitmix64's odd constant): batch `i` of every
 /// title draws from an RNG that is a pure function of `(seed, i, title)`.
@@ -78,6 +83,9 @@ const BATCH_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// a one-title run draws the identical traffic a [`crate::serve`] run
 /// draws — the single-title path is the one-title specialization.
 const TITLE_SALT: u64 = 0xC2B2_AE3D_27D4_EB4F;
+/// One engine push in this many has its wall-clock cost sampled, starting
+/// with the first; a power of two, so the test is a mask.
+const LATENCY_SAMPLE_EVERY: u64 = 64;
 
 /// Which built-in on-line merge policy a title runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,7 +256,8 @@ pub struct MultiServeReport {
     pub delay: DelayStats,
     /// Per-title breakdowns, in catalog order.
     pub titles: Vec<TitleReport>,
-    /// Per-push wall-clock percentiles across all titles.
+    /// Wall-clock percentiles over sampled pushes (1 in 64, the first
+    /// push always included) across all titles.
     pub latency: LatencyStats,
     /// Planner-memo lookups served from cache during this run (per-length
     /// analyses shared across titles and with any earlier runs on the
@@ -311,6 +320,70 @@ struct Group {
     head: usize,
 }
 
+/// The engine heads of the groups in a title policy's open tree — every
+/// parent a merge decision may legally name. A root decision clears it, so
+/// its size is bounded by the largest tree, not by the run.
+#[derive(Default)]
+struct OpenTree {
+    /// Group index (re-based across swaps) of the open tree's root.
+    base: usize,
+    /// Group `base + i` → engine-global index of that group's head.
+    heads: Vec<usize>,
+}
+
+impl OpenTree {
+    /// Maps a policy decision onto the engine attachment. Policy-local
+    /// indices re-base by `policy_base`; a parent outside the open tree —
+    /// in a closed tree, or at or past the group being decided — is a
+    /// [`ServeError::PolicyDesync`].
+    fn resolve(&self, policy_base: usize, decision: &MergeDecision) -> Result<Attach, ServeError> {
+        let Some(p) = decision.parent else {
+            return Ok(Attach::Root);
+        };
+        let parent = policy_base.saturating_add(p);
+        parent
+            .checked_sub(self.base)
+            .and_then(|i| self.heads.get(i))
+            .map(|&head| Attach::Under(head))
+            .ok_or(ServeError::PolicyDesync {
+                node: policy_base.saturating_add(decision.node),
+                parent,
+            })
+    }
+
+    /// Records the head of group `group` once pushed; a root opens a
+    /// fresh tree.
+    fn record(&mut self, root: bool, group: usize, head: usize) {
+        if root {
+            self.base = group;
+            self.heads.clear();
+        }
+        self.heads.push(head);
+    }
+}
+
+/// Sampled push timing: reads the clock around one push in
+/// [`LATENCY_SAMPLE_EVERY`] and tallies it; the rest run untimed.
+#[derive(Default)]
+struct PushClock {
+    pushes: u64,
+    samples: LatencyHistogram,
+}
+
+impl PushClock {
+    fn time<T>(&mut self, push: impl FnOnce() -> T) -> T {
+        let sampled = self.pushes & (LATENCY_SAMPLE_EVERY - 1) == 0;
+        self.pushes += 1;
+        if !sampled {
+            return push();
+        }
+        let t0 = Instant::now();
+        let out = push();
+        self.samples.record(elapsed_ns(t0));
+        out
+    }
+}
+
 /// Per-title consumer state.
 struct TitleState {
     media_len: u64,
@@ -326,8 +399,8 @@ struct TitleState {
     /// Last engine push time; dense ticks continue one past it, and a
     /// post-swap real-time policy starts at or above it.
     last_engine_time: i64,
-    /// Group index → engine-global index of that group's head.
-    slot_reps: Vec<usize>,
+    /// The policy's open tree, for resolving merge parents.
+    open: OpenTree,
     /// Pending group, if any.
     cur: Option<Group>,
     groups: usize,
@@ -406,7 +479,7 @@ where
             swap: title.swap,
             policy_base: 0,
             last_engine_time: -1,
-            slot_reps: Vec::new(),
+            open: OpenTree::default(),
             cur: None,
             groups: 0,
             generated: 0,
@@ -415,7 +488,7 @@ where
     }
 
     let mut planner = DelayPlanner::new(config.budget);
-    let mut latencies: Vec<u64> = Vec::new();
+    let mut clock = PushClock::default();
     let mut generated = 0usize;
     let n_batches = (config.horizon / config.batch_slots).ceil() as usize;
     let (horizon, batch, seed) = (config.horizon, config.batch_slots, config.seed);
@@ -462,13 +535,13 @@ where
                 if let Some(group) = state.cur {
                     if slot <= group.service_slot {
                         state.delays.record((group.service_slot - slot) as u64);
-                        let t0 = Instant::now();
-                        state.engine.push(
-                            group.engine_time,
-                            Attach::Under(group.head),
-                            &mut |r| on_report(title, r),
-                        )?;
-                        latencies.push(elapsed_ns(t0));
+                        clock.time(|| {
+                            state.engine.push(
+                                group.engine_time,
+                                Attach::Under(group.head),
+                                &mut |r| on_report(title, r),
+                            )
+                        })?;
                         continue;
                     }
                 }
@@ -480,7 +553,7 @@ where
                 if let Some(swap) = state.swap.filter(|sw| sw.after_groups == state.groups) {
                     state.policy = swap.to.build(state.media_len);
                     state.dense_grid = swap.to.dense_grid();
-                    state.policy_base = state.slot_reps.len();
+                    state.policy_base = state.groups;
                     state.swap = None;
                 }
                 let engine_time = if state.dense_grid {
@@ -489,29 +562,18 @@ where
                     s
                 };
                 let decision = state.policy.push(s as f64);
-                let attach = match decision.parent {
-                    None => {
-                        planner.commit(s + state.media);
-                        Attach::Root
-                    }
-                    Some(p) => {
-                        let rebased = state.policy_base + p;
-                        Attach::Under(*state.slot_reps.get(rebased).ok_or(
-                            ServeError::PolicyDesync {
-                                node: state.policy_base + decision.node,
-                                parent: rebased,
-                            },
-                        )?)
-                    }
-                };
+                let attach = state.open.resolve(state.policy_base, &decision)?;
+                if decision.is_root() {
+                    planner.commit(s + state.media);
+                }
                 let global = state.engine.arrivals();
-                let t0 = Instant::now();
-                state
-                    .engine
-                    .push(engine_time, attach, &mut |r| on_report(title, r))?;
-                latencies.push(elapsed_ns(t0));
+                clock.time(|| {
+                    state
+                        .engine
+                        .push(engine_time, attach, &mut |r| on_report(title, r))
+                })?;
                 state.last_engine_time = engine_time;
-                state.slot_reps.push(global);
+                state.open.record(decision.is_root(), state.groups, global);
                 state.cur = Some(Group {
                     service_slot: s,
                     engine_time,
@@ -548,7 +610,7 @@ where
         rejected: 0,
         delay: delay_all.stats(),
         titles,
-        latency: LatencyStats::from_samples(latencies),
+        latency: clock.samples.stats(),
         memo_hits: memo.hits().saturating_sub(hits_before),
     })
 }
@@ -669,6 +731,132 @@ mod tests {
         match serve_multi(&MultiServeConfig::new(vec![], 100.0)) {
             Err(ServeError::Config { field, .. }) => assert_eq!(field, "titles"),
             other => panic!("expected Config error, got {other:?}"),
+        }
+    }
+
+    fn attach_under(parent: usize) -> MergeDecision {
+        MergeDecision {
+            node: 0,
+            tree: 0,
+            parent: Some(parent),
+        }
+    }
+
+    /// A window whose open tree is rooted at group 4, with groups 4..7
+    /// headed by engine arrivals 10, 12 and 15.
+    fn open_tree_at_4() -> OpenTree {
+        let mut open = OpenTree::default();
+        // A closed tree (groups 0..4) that the root at group 4 evicts.
+        for (group, head) in [(0, 0), (1, 3), (2, 5), (3, 8)] {
+            open.record(group == 0, group, head);
+        }
+        for (group, head) in [(4, 10), (5, 12), (6, 15)] {
+            open.record(group == 4, group, head);
+        }
+        open
+    }
+
+    #[test]
+    fn open_tree_resolves_parents_in_the_open_tree() {
+        let open = open_tree_at_4();
+        let root = MergeDecision {
+            node: 7,
+            tree: 1,
+            parent: None,
+        };
+        assert_eq!(open.resolve(0, &root), Ok(Attach::Root));
+        assert_eq!(open.resolve(0, &attach_under(4)), Ok(Attach::Under(10)));
+        assert_eq!(open.resolve(0, &attach_under(6)), Ok(Attach::Under(15)));
+    }
+
+    #[test]
+    fn open_tree_rejects_a_parent_in_a_closed_tree() {
+        let open = open_tree_at_4();
+        for parent in [0, 3] {
+            let decision = MergeDecision {
+                node: 7,
+                ..attach_under(parent)
+            };
+            assert_eq!(
+                open.resolve(0, &decision),
+                Err(ServeError::PolicyDesync { node: 7, parent }),
+                "group {parent} belongs to the closed tree"
+            );
+        }
+    }
+
+    #[test]
+    fn open_tree_rejects_a_parent_at_or_past_the_current_group() {
+        let open = open_tree_at_4();
+        // Group 7 is the one being decided; 7 and later were never pushed.
+        for parent in [7, 8, usize::MAX] {
+            let decision = MergeDecision {
+                node: 7,
+                ..attach_under(parent)
+            };
+            assert_eq!(
+                open.resolve(0, &decision),
+                Err(ServeError::PolicyDesync { node: 7, parent }),
+            );
+        }
+    }
+
+    #[test]
+    fn open_tree_rebases_parents_after_a_policy_swap() {
+        // The swap fired before group 5: the fresh policy numbers group 5
+        // as its node 0, which roots a tree at engine arrival 12.
+        let mut open = open_tree_at_4();
+        let policy_base = 5;
+        open.record(true, 5, 12);
+        open.record(false, 6, 15);
+        assert_eq!(open.base, 5);
+        // Policy-local parent 1 is group 6.
+        assert_eq!(
+            open.resolve(policy_base, &attach_under(1)),
+            Ok(Attach::Under(15))
+        );
+        assert_eq!(
+            open.resolve(policy_base, &attach_under(0)),
+            Ok(Attach::Under(12))
+        );
+        // Policy-local 2 is group 7, not yet pushed; indices saturate
+        // instead of overflowing.
+        assert_eq!(
+            open.resolve(policy_base, &attach_under(2)),
+            Err(ServeError::PolicyDesync { node: 5, parent: 7 })
+        );
+        assert_eq!(
+            open.resolve(policy_base, &attach_under(usize::MAX)),
+            Err(ServeError::PolicyDesync {
+                node: 5,
+                parent: usize::MAX
+            })
+        );
+    }
+
+    #[test]
+    fn sampled_latency_covers_one_push_in_64_starting_with_the_first() {
+        let mut clock = PushClock::default();
+        let mut ran = 0;
+        for _ in 0..130 {
+            clock.time(|| ran += 1);
+        }
+        assert_eq!(ran, 130, "every push runs, timed or not");
+        // Pushes 0, 64 and 128 are sampled.
+        assert_eq!(clock.samples.total, 3);
+    }
+
+    #[test]
+    fn any_run_with_an_arrival_reports_a_positive_max_latency() {
+        // A horizon this short draws a handful of arrivals at most; the
+        // first push is always timed.
+        for horizon in [3.0, 50.0, 800.0] {
+            let report = serve_multi(&MultiServeConfig::new(titles3(), horizon)).unwrap();
+            if report.generated > 0 {
+                assert!(report.latency.max_ns > 0, "horizon {horizon}: {report:?}");
+            } else {
+                assert_eq!(report.latency, LatencyStats::default());
+            }
         }
     }
 

@@ -166,7 +166,7 @@ pub fn verify_continuous(
 mod tests {
     use super::*;
     use sm_core::MergeTree;
-    use sm_online::dyadic::{DyadicConfig, DyadicMerger};
+    use sm_online::dyadic::{dyadic_forest, DyadicConfig};
 
     #[test]
     fn integer_case_matches_slotted_model() {
@@ -190,13 +190,14 @@ mod tests {
     #[test]
     fn dyadic_output_verifies() {
         for cfg in [DyadicConfig::classic(), DyadicConfig::golden_poisson()] {
-            let mut m = DyadicMerger::new(cfg, 25.0);
             let mut t = 0.0;
-            for i in 0..120 {
-                t += 0.13 + (i % 7) as f64 * 0.05;
-                m.on_arrival(t);
-            }
-            let (forest, times) = m.forest();
+            let times: Vec<f64> = (0..120)
+                .map(|i| {
+                    t += 0.13 + (i % 7) as f64 * 0.05;
+                    t
+                })
+                .collect();
+            let forest = dyadic_forest(cfg, 25.0, &times);
             verify_continuous(&forest, &times, 25.0, 1e-9)
                 .unwrap_or_else(|e| panic!("{cfg:?}: {e:?}"));
         }

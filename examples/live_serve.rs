@@ -45,7 +45,7 @@ fn print_report(label: &str, report: &MultiServeReport) {
     }
     let l = report.latency;
     println!(
-        "  push latency  p50 {} ns, p99 {} ns, max {} ns",
+        "  push latency  (1 in 64 sampled) p50 {} ns, p99 {} ns, max {} ns",
         l.p50_ns, l.p99_ns, l.max_ns
     );
 }

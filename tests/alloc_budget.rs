@@ -15,14 +15,17 @@
 //!   pool and buffer, the remaining pushes are allocation-free up to the
 //!   log-many residual doublings of the bandwidth log
 //!   ([`INCREMENTAL_STEADY_BUDGET`]): `allocations / pushes` floors to 0.
+//! * **dyadic policy** — `DyadicMerger` keeps only the open tree's frame
+//!   stack, so once the stack has reached its working depth the policy's
+//!   pushes allocate nothing at all.
 //!
 //! The counters are per-thread, so the harness is immune to the test
 //! runner's own threads; each test observes only its own allocations.
 
 use sm_core::{alloc_counter, consecutive_slots};
-use sm_online::DelayGuaranteedOnline;
+use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
 use sm_sim::{simulate_streaming_slice, Attach, IncrementalEngine, SimConfig};
-use sm_workload::deep_chain_forest;
+use sm_workload::{deep_chain_forest, ArrivalProcess, PoissonProcess};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 
@@ -175,5 +178,29 @@ fn incremental_push_steady_state_is_allocation_free() {
         steady / (TOTAL - WARMUP) as u64,
         0,
         "allocations per push must floor to zero after warm-up"
+    );
+}
+
+#[test]
+fn dyadic_policy_push_steady_state_is_allocation_free() {
+    const TOTAL: usize = 100_000;
+    const WARMUP: usize = TOTAL / 2;
+    let times = PoissonProcess::new(1.0, 7).generate(1.2 * TOTAL as f64);
+    assert!(times.len() >= TOTAL, "the horizon draws enough arrivals");
+    let mut policy = DyadicMerger::new(DyadicConfig::golden_poisson(), MEDIA as f64);
+    for &t in &times[..WARMUP] {
+        black_box(policy.push(t));
+    }
+    let ckpt = alloc_counter::checkpoint();
+    for &t in &times[WARMUP..TOTAL] {
+        black_box(policy.push(t));
+    }
+    let steady = ckpt.allocations_since();
+    assert_eq!(policy.arrivals(), TOTAL);
+    assert_eq!(
+        steady,
+        0,
+        "the dyadic policy allocated {steady} times over its last {} pushes",
+        TOTAL - WARMUP
     );
 }

@@ -63,16 +63,14 @@ fn online_cost_closed_form_vs_forest_vs_sim() {
 
 #[test]
 fn dyadic_cost_equals_model_cost_on_integer_grid() {
-    use stream_merging::online::dyadic::{DyadicConfig, DyadicMerger};
+    use stream_merging::online::dyadic::{dyadic_forest, dyadic_total_cost, DyadicConfig};
     // Feed integer times; compare f64 dyadic accounting against the exact
     // i64 model on the same forest shape.
-    let mut m = DyadicMerger::new(DyadicConfig::golden_poisson(), 30.0);
+    let cfg = DyadicConfig::golden_poisson();
     let times_i: Vec<i64> = (0..40).map(|i| i * 2).collect();
-    for &t in &times_i {
-        m.on_arrival(t as f64);
-    }
-    let (forest, _) = m.forest();
-    let f64_cost = m.total_cost();
+    let times: Vec<f64> = times_i.iter().map(|&t| t as f64).collect();
+    let forest = dyadic_forest(cfg, 30.0, &times);
+    let f64_cost = dyadic_total_cost(cfg, 30.0, &times);
     let exact = full_cost(&forest, &times_i, 30);
     assert!((f64_cost - exact as f64).abs() < 1e-6);
 }

@@ -394,8 +394,8 @@ fn committed_bench_trajectory_has_the_serve_multi_datapoint() {
         "the per-title planned peaks must be served through the memo"
     );
     // The whole serving layer — workload generation and fan-in, delay
-    // planning, per-title policy and engine, per-push latency sampling,
-    // and the end-of-run percentile sort — amortizes to within 10x of
+    // planning, per-title policy and engine, and 1-in-64 push-latency
+    // sampling into a fixed-size histogram — amortizes to within 10x of
     // the bare batch engine's per-arrival cost (the committed lines may
     // come from different refresh runs, so the bound also absorbs
     // machine variance).

@@ -6,7 +6,7 @@ use stream_merging::core::consecutive_slots;
 use stream_merging::online::batching::{batch_arrivals, batched_dyadic_cost, plain_batching_cost};
 use stream_merging::online::capacity::{steady_state_bandwidth, MediaObject};
 use stream_merging::online::delay_guaranteed::online_full_cost;
-use stream_merging::online::dyadic::{dyadic_total_cost, DyadicConfig, DyadicMerger};
+use stream_merging::online::dyadic::{dyadic_forest, dyadic_total_cost, DyadicConfig};
 use stream_merging::online::hybrid::{HybridConfig, HybridServer};
 use stream_merging::online::DelayGuaranteedOnline;
 use stream_merging::sim::{assign_channels, stream_schedule, verify_continuous, BandwidthProfile};
@@ -60,12 +60,8 @@ fn constant_rate_at_slot_rate_makes_batching_transparent() {
 fn dyadic_forests_pass_continuous_verification() {
     for (seed, gap) in [(1u64, 0.05f64), (2, 0.5), (3, 3.0)] {
         let arrivals = PoissonProcess::new(gap, seed).generate(300.0);
-        let mut m = DyadicMerger::new(DyadicConfig::golden_poisson(), 40.0);
-        for &t in &arrivals {
-            m.on_arrival(t);
-        }
-        let (forest, times) = m.forest();
-        verify_continuous(&forest, &times, 40.0, 1e-7)
+        let forest = dyadic_forest(DyadicConfig::golden_poisson(), 40.0, &arrivals);
+        verify_continuous(&forest, &arrivals, 40.0, 1e-7)
             .unwrap_or_else(|e| panic!("seed {seed}, gap {gap}: {e:?}"));
     }
 }

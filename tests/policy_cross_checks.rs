@@ -4,7 +4,7 @@
 
 use stream_merging::core::{full_cost, validate_forest, ValidationOptions};
 use stream_merging::offline::forest::optimal_full_cost;
-use stream_merging::online::dyadic::{DyadicConfig, DyadicMerger};
+use stream_merging::online::dyadic::{dyadic_forest, dyadic_total_cost, DyadicConfig};
 use stream_merging::online::hierarchical::{HierarchicalMerger, MergePolicy};
 use stream_merging::online::patching::PatchingMerger;
 
@@ -39,12 +39,10 @@ fn run_policy(
             (m.total_cost(), forest, times)
         }
         "dyadic" => {
-            let mut m = DyadicMerger::new(DyadicConfig::golden_poisson(), MEDIA as f64);
-            for &t in arrivals {
-                m.on_arrival(t);
-            }
-            let (forest, times) = m.forest();
-            (m.total_cost(), forest, times)
+            let cfg = DyadicConfig::golden_poisson();
+            let forest = dyadic_forest(cfg, MEDIA as f64, arrivals);
+            let cost = dyadic_total_cost(cfg, MEDIA as f64, arrivals);
+            (cost, forest, arrivals.to_vec())
         }
         other => panic!("unknown policy {other}"),
     }

@@ -10,7 +10,9 @@ use stream_merging::offline::general;
 use stream_merging::offline::receive_all;
 use stream_merging::offline::tree_builder::optimal_merge_tree;
 use stream_merging::online::delay_guaranteed::online_full_cost;
-use stream_merging::online::dyadic::{DyadicConfig, DyadicMerger};
+use stream_merging::online::dyadic::{
+    dyadic_forest, dyadic_total_cost, DyadicConfig, DyadicMerger,
+};
 use stream_merging::sim::simulate;
 
 /// Random merge tree over n arrivals: each node picks an earlier parent.
@@ -107,11 +109,15 @@ proptest! {
         };
         let mut m = DyadicMerger::new(cfg, media);
         let mut t = 0.0;
-        for g in gaps {
-            t += g;
-            m.on_arrival(t);
-        }
-        let (forest, times) = m.forest();
+        let times: Vec<f64> = gaps
+            .iter()
+            .map(|g| {
+                t += g;
+                m.on_arrival(t);
+                t
+            })
+            .collect();
+        let forest = dyadic_forest(cfg, media, &times);
         for (range, tree) in forest.iter_with_ranges() {
             prop_assert!(tree.has_preorder_property());
             // Spans stay within the merge window.
@@ -119,7 +125,8 @@ proptest! {
             let span = slice[tree.last_arrival()] - slice[0];
             prop_assert!(span <= cfg.beta * media + 1e-9);
         }
-        prop_assert!(m.total_cost() >= media * m.roots() as f64 - 1e-9);
+        prop_assert_eq!(forest.num_trees(), m.roots());
+        prop_assert!(dyadic_total_cost(cfg, media, &times) >= media * m.roots() as f64 - 1e-9);
     }
 
     #[test]
