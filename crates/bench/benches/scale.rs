@@ -1,12 +1,11 @@
 #![allow(unsafe_code)] // counting #[global_allocator]: raw-pointer plumbing by design
-//! Scale: the event-driven engine at ten million arrivals.
+//! Scale: the simulator's production engine at ten million arrivals.
 //!
 //! Three million-client shapes, all streamed through
 //! [`sm_sim::simulate_streaming`] so per-client reports are consumed and
-//! dropped as their part-deadlines fire and the schedule itself is pulled
-//! (and released) tree-by-tree — peak memory tracks the *active* trees and
-//! streams, never a full-schedule vector or a per-slot array over the
-//! horizon:
+//! dropped as their part-deadlines fire and each merge tree is released
+//! once drained — peak memory tracks the *open* trees and active streams,
+//! never a full-schedule vector or a per-slot array over the horizon:
 //!
 //! * the Delay Guaranteed grid (one merged client per slot, the §4.1
 //!   steady-state server shape — balanced trees, logarithmic programs);
@@ -22,10 +21,12 @@
 //!
 //! A `serve_incremental` case replays the Delay Guaranteed grid through
 //! the push-based incremental engine ([`sm_sim::simulate_incremental`]):
-//! the run must be bit-identical to the events engine, and its amortized
-//! `ns_per_arrival` (recorded in the JSON next to the engine's
+//! the run must be bit-identical to the batch `events_dg` run, and its
+//! amortized `ns_per_arrival` (recorded in the JSON next to the engine's
 //! `max_open_trees` retention gauge) is CI-gated to within 1.5× of the
-//! batch baseline.
+//! batch baseline. The batch API itself replays through the incremental
+//! engine, so the `events_*` cases and `serve_incremental` time the same
+//! engine through two entry points.
 //!
 //! A `serve_multi` case drives the multi-title delay-planning serve loop
 //! (`sm_serve::serve_multi`): a three-title Poisson catalog behind a
@@ -51,8 +52,9 @@
 //! `tests/alloc_budget.rs`): each case's dedicated run records
 //! `allocations_per_arrival` — heap allocations observed on the driving
 //! thread during the run, divided by arrivals and floored. The arena-backed
-//! events/incremental engines are allocation-free in steady state, so their
-//! O(log n) warm-up allocations floor to **0**; CI gates on exactly that.
+//! incremental engine behind the events/incremental cases is
+//! allocation-free in steady state, so its O(log n) warm-up allocations
+//! floor to **0**; CI gates on exactly that.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sm_core::{alloc_counter, consecutive_slots, MergeForest, MergeTree};
@@ -302,9 +304,9 @@ fn bench_scale(c: &mut Criterion) {
 
     // The push-based incremental engine ingests the identical grid one
     // arrival at a time. Two properties are load-bearing (CI gates the
-    // smoke JSON on both): the run is bit-identical to the batch events
-    // engine, and the amortized ingest cost (`ns_per_arrival`) stays
-    // within 1.5x of it — push-based serving must not tax throughput.
+    // smoke JSON on both): the run is bit-identical to the batch run, and
+    // the amortized ingest cost (`ns_per_arrival`) stays within 1.5x of
+    // it. Both now run the same engine, so these hold by construction.
     let ckpt = alloc_counter::checkpoint();
     let t0 = Instant::now();
     let mut served = 0usize;
@@ -318,7 +320,7 @@ fn bench_scale(c: &mut Criterion) {
     assert_eq!(served, n);
     assert_eq!(
         inc.summary, dg_summary,
-        "incremental ingest must be bit-identical to the events engine"
+        "incremental ingest must be bit-identical to the batch run"
     );
     println!(
         "bench: scale/serve_incremental vs events wall-time ratio: {:.2}x \

@@ -104,6 +104,21 @@ impl TreeArena {
     /// by construction and every ancestor's last descendant becomes the new
     /// node. O(depth), allocation-free once the columns have capacity.
     pub fn push_arrival(&mut self, parent: usize) -> Result<usize, ModelError> {
+        self.push_arrival_with(parent, |_, _| {})
+    }
+
+    /// [`Self::push_arrival`] that also calls `visit(a, parent_of_a)` for
+    /// every ancestor `a` of the new node, from `parent` up to the root
+    /// (whose parent is `None`), during the same root-path walk that
+    /// updates the last descendants. Callers that keep per-node state
+    /// depending on `z(a)` (the Lemma-1 stream lengths) update it here
+    /// instead of walking the path a second time. `visit` is not called
+    /// when the push is rejected.
+    pub fn push_arrival_with<F: FnMut(usize, Option<usize>)>(
+        &mut self,
+        parent: usize,
+        mut visit: F,
+    ) -> Result<usize, ModelError> {
         let node = self.len();
         if parent >= node {
             return Err(ModelError::ParentNotEarlier { node, parent });
@@ -124,7 +139,9 @@ impl TreeArena {
         let mut cur = parent;
         loop {
             self.last_descendant[cur] = new_label;
-            match self.parent(cur) {
+            let up = self.parent(cur);
+            visit(cur, up);
+            match up {
                 Some(p) => cur = p,
                 None => break,
             }
@@ -270,6 +287,25 @@ mod tests {
             arena.push_arrival(1),
             Err(ModelError::ParentNotEarlier { node: 1, parent: 1 })
         );
+    }
+
+    #[test]
+    fn push_arrival_with_visits_the_root_path_once_bottom_up() {
+        let mut arena =
+            TreeArena::lower(&MergeTree::from_parents(&[None, Some(0), Some(1)]).unwrap()).unwrap();
+        let mut seen = Vec::new();
+        let node = arena
+            .push_arrival_with(2, |a, p| seen.push((a, p)))
+            .unwrap();
+        assert_eq!(node, 3);
+        assert_eq!(seen, vec![(2, Some(1)), (1, Some(0)), (0, None)]);
+        assert_eq!(arena.last_descendant(0), 3);
+        assert_eq!(arena.last_descendant(1), 3);
+        seen.clear();
+        assert!(arena
+            .push_arrival_with(9, |a, p| seen.push((a, p)))
+            .is_err());
+        assert!(seen.is_empty(), "a rejected push visits nothing");
     }
 
     #[test]

@@ -10,7 +10,7 @@ fn main() {
     // The intervals describe optimal trees; execute a few of those plans on
     // the event-driven simulator before trusting the table.
     for n in [2usize, 8, 21, 55] {
-        simcheck::crosscheck_offline(2 * n as u64, n).expect("event engine must match Fcost");
+        simcheck::crosscheck_offline(2 * n as u64, n).expect("simulator must match Fcost");
     }
     let table = fig8::to_rows(&rows);
     println!("Figure 8 — last-merge intervals I(n) (verified against DP)\n");

@@ -4,11 +4,11 @@ use sm_experiments::output::{render_table, results_dir, write_csv};
 use sm_experiments::{fig9, simcheck};
 
 fn main() {
-    // Both sides of the ratio are analytic; pin them to the event-driven
+    // Both sides of the ratio are analytic; pin them to the
     // simulator at the small end of the sweep before computing the figure.
     for (l, n) in [(50u64, 50usize), (50, 450), (100, 300), (200, 200)] {
-        simcheck::crosscheck_online(l, n).expect("event engine must match A(L, n)");
-        simcheck::crosscheck_offline(l, n).expect("event engine must match F(L, n)");
+        simcheck::crosscheck_online(l, n).expect("simulator must match A(L, n)");
+        simcheck::crosscheck_offline(l, n).expect("simulator must match F(L, n)");
     }
     let rows = fig9::compute(&fig9::default_configs());
     let table = fig9::to_rows(&rows);

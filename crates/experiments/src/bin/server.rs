@@ -9,7 +9,7 @@ fn main() {
     let catalog = Catalog::zipf(8, 1.0, &[120.0, 90.0, 100.0]);
     let candidates = [1.0, 2.0, 5.0, 10.0, 20.0];
     // The per-title periodic profiles below are DG schedules; make sure the
-    // event engine agrees with the DG cost at each distinct slot scale.
+    // simulator agrees with the DG cost at each distinct slot scale.
     let media_lens: std::collections::BTreeSet<u64> = catalog
         .titles()
         .iter()
@@ -17,7 +17,7 @@ fn main() {
         .collect();
     for media_len in media_lens {
         simcheck::crosscheck_online(media_len, 4 * media_len as usize)
-            .expect("event engine must match the DG schedule");
+            .expect("simulator must match the DG schedule");
     }
     let full = plan_weighted(&catalog, u64::MAX, &[1.0])
         .expect("unconstrained plan")

@@ -1,8 +1,8 @@
-//! Event-engine cross-checks for the figure/table binaries.
+//! Simulator cross-checks for the figure/table binaries.
 //!
 //! Every analytic number the experiments print has an executable
 //! counterpart: derive the forest the number describes, run it through the
-//! event-driven simulator ([`sm_sim::Engine::Events`]), and demand the
+//! simulator's production path ([`sm_sim::Engine::Events`]), and demand the
 //! measured bandwidth equals the closed form. The binaries call these
 //! before writing their CSVs, so a regression in either the theory code or
 //! the engine turns figure regeneration red.
@@ -16,7 +16,7 @@ use sm_server::{
 };
 use sm_sim::{simulate_with, SimConfig};
 
-/// Executes the optimal off-line forest for `(L, n)` on the event engine
+/// Executes the optimal off-line forest for `(L, n)` on the simulator
 /// and checks the measured total against the plan's analytic cost.
 /// Returns the measured slot-units.
 pub fn crosscheck_offline(media_len: u64, n: usize) -> Result<i64, String> {
@@ -34,7 +34,7 @@ pub fn crosscheck_offline(media_len: u64, n: usize) -> Result<i64, String> {
 }
 
 /// Executes the Delay Guaranteed on-line forest after `n` slots on the
-/// event engine and checks the measured total against `A(L, n)`.
+/// simulator and checks the measured total against `A(L, n)`.
 /// Returns the measured slot-units.
 pub fn crosscheck_online(media_len: u64, n: usize) -> Result<i64, String> {
     let alg = DelayGuaranteedOnline::new(media_len);

@@ -36,11 +36,10 @@
 //! never as a rejection. Three invariants define the contract:
 //!
 //! 1. **Zero rejections.** Every generated arrival is served;
-//!    [`ServeReport::rejected`] and [`MultiServeReport::rejected`] are
-//!    structurally zero and kept in the reports as the observable form of
-//!    the invariant.
-//! 2. **Budget safety.** With [`ServeConfig::budget`] (or
-//!    [`MultiServeConfig::budget`]) set to `b`, at most `b` full-length
+//!    [`MultiServeReport::rejected`] is structurally zero and kept in the
+//!    report as the observable form of the invariant.
+//! 2. **Budget safety.** With [`MultiServeConfig::budget`] set to `b`, at
+//!    most `b` full-length
 //!    streams are live at any instant, across *all* titles. The planner
 //!    tracks one min-heap of **license chains** — disjoint timelines of
 //!    full streams scheduled back to back. A new full stream either
@@ -68,10 +67,13 @@
 //!
 //! # Single-title quickstart
 //!
-//! ```
-//! use sm_serve::{serve, ServeConfig};
+//! A single title is a one-title catalog:
 //!
-//! let report = serve(&ServeConfig::new(64, 400.0, 2.0)).unwrap();
+//! ```
+//! use sm_serve::{serve_multi, MultiServeConfig, TitleConfig};
+//!
+//! let config = MultiServeConfig::new(vec![TitleConfig::new(64, 2.0)], 400.0);
+//! let report = serve_multi(&config).unwrap();
 //! assert_eq!(report.rejected, 0);
 //! assert_eq!(report.served, report.generated);
 //! assert_eq!(report.delay.max_slots, 0, "unbounded budget: no delay");
@@ -110,7 +112,7 @@
 
 use std::fmt;
 
-use sm_sim::{ClientReport, IncrementalSummary, IngestError, SimError};
+use sm_sim::{IngestError, SimError};
 
 mod multi;
 
@@ -122,75 +124,6 @@ pub use multi::{
 /// Largest accepted horizon: keeps `t.floor() as i64` exact (every f64
 /// below this is integer-representable in i64) and batch counts sane.
 const MAX_HORIZON: f64 = 1e15;
-
-/// Everything a single-title serving run needs. All fields are public;
-/// start from [`ServeConfig::new`] and override what the scenario calls
-/// for. The run itself is the one-title specialization of the multi-title
-/// loop (see [`MultiServeConfig`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// Media length in slots (`L`); must be at least 1.
-    pub media_len: u64,
-    /// Traffic horizon in slots: arrivals are generated over `(0, horizon]`.
-    pub horizon: f64,
-    /// Mean inter-arrival gap of the Poisson workload, in slots.
-    pub mean_interarrival: f64,
-    /// Workload RNG seed; identical seeds replay identical traffic.
-    pub seed: u64,
-    /// Shared channel budget: at most this many full-length streams live
-    /// at once. Arrivals past the budget are *delayed*, never declined.
-    /// `None` plans every stream at its arrival slot (zero delay).
-    pub budget: Option<usize>,
-    /// Producer batch granularity in slots; each pipeline item carries the
-    /// arrivals of one such sub-horizon.
-    pub batch_slots: f64,
-    /// Backpressure depth of the generator→ingest channel (must be ≥ 1):
-    /// the producer runs at most this many batches ahead of ingest.
-    pub pipeline_depth: usize,
-    /// Optional per-client buffer bound, forwarded to the engine.
-    pub buffer_bound: Option<u64>,
-}
-
-impl ServeConfig {
-    /// A serving run over `(0, horizon]` with Poisson gaps of mean
-    /// `mean_interarrival`, an unbounded budget, and default pipeline
-    /// granularity (256-slot batches, depth 4).
-    pub fn new(media_len: u64, horizon: f64, mean_interarrival: f64) -> Self {
-        Self {
-            media_len,
-            horizon,
-            mean_interarrival,
-            seed: 7,
-            budget: None,
-            batch_slots: 256.0,
-            pipeline_depth: 4,
-            buffer_bound: None,
-        }
-    }
-
-    fn validate(&self) -> Result<(), ServeError> {
-        let bad = |field, reason| Err(ServeError::Config { field, reason });
-        if self.media_len == 0 {
-            return bad("media_len", "must be at least 1 slot");
-        }
-        if !(self.horizon > 0.0 && self.horizon <= MAX_HORIZON) {
-            return bad("horizon", "must be finite, positive, and at most 1e15");
-        }
-        if !(self.mean_interarrival > 0.0 && self.mean_interarrival.is_finite()) {
-            return bad("mean_interarrival", "must be finite and positive");
-        }
-        if self.budget == Some(0) {
-            return bad("budget", "a bounded budget needs at least 1 channel");
-        }
-        if !(self.batch_slots >= 1.0 && self.batch_slots.is_finite()) {
-            return bad("batch_slots", "must be finite and at least 1");
-        }
-        if self.pipeline_depth == 0 {
-            return bad("pipeline_depth", "must be at least 1");
-        }
-        Ok(())
-    }
-}
 
 /// Wall-clock cost of sampled engine pushes, in nanoseconds. The serve
 /// loop times one push in 64 (always including the first), so these
@@ -378,31 +311,10 @@ impl DelayHistogram {
     }
 }
 
-/// What a single-title serving run did: traffic counts, the delay the
-/// planner handed out, the engine's summary, and the ingest loop's own
-/// sampled latency accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Arrivals the workload generator produced over the horizon.
-    pub generated: usize,
-    /// Arrivals served (`= generated`; the loop never declines).
-    pub served: usize,
-    /// Always 0 — kept as the observable zero-rejection invariant of the
-    /// delay-planning contract.
-    pub rejected: usize,
-    /// Planned start-up delay distribution over all served arrivals.
-    pub delay: DelayStats,
-    /// The engine's whole-run aggregates, bit-identical to a batch
-    /// simulation of the same served forest.
-    pub summary: IncrementalSummary,
-    /// Wall-clock percentiles over sampled pushes (1 in 64).
-    pub latency: LatencyStats,
-}
-
 /// A serving run could not start or had to stop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// A [`ServeConfig`] / [`MultiServeConfig`] field is out of range.
+    /// A [`MultiServeConfig`] field is out of range.
     Config {
         /// Which field.
         field: &'static str,
@@ -451,69 +363,26 @@ impl From<SimError> for ServeError {
     }
 }
 
-/// Runs a single-title serving session, discarding per-client reports.
-/// See [`serve_with`] to observe them as they stream out.
-pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
-    serve_with(config, |_| {})
-}
-
-/// Runs a single-title serving session end to end: generates the Poisson
-/// workload on a producer thread, ingests it arrival-at-a-time through
-/// delay planning, policy, and engine, and invokes `on_report` for every
-/// served client the moment its last part-deadline fires (emission order
-/// = service order). Returns the aggregate [`ServeReport`].
-///
-/// This is the one-title specialization of [`serve_multi_with`]: same
-/// loop, same traffic (title 0 of the multi loop draws the identical
-/// Poisson process), same dyadic default policy.
-pub fn serve_with<F>(config: &ServeConfig, mut on_report: F) -> Result<ServeReport, ServeError>
-where
-    F: FnMut(ClientReport),
-{
-    config.validate()?;
-    let multi = MultiServeConfig {
-        titles: vec![TitleConfig {
-            buffer_bound: config.buffer_bound,
-            ..TitleConfig::new(config.media_len, config.mean_interarrival)
-        }],
-        horizon: config.horizon,
-        budget: config.budget,
-        seed: config.seed,
-        batch_slots: config.batch_slots,
-        pipeline_depth: config.pipeline_depth,
-    };
-    let report = serve_multi_with(&multi, &sm_server::PlannerMemo::new(), |_, r| on_report(r))?;
-    let mut titles = report.titles;
-    let title = titles.drain(..).next().ok_or(ServeError::Config {
-        field: "titles",
-        reason: "single-title run must produce one title report",
-    })?;
-    Ok(ServeReport {
-        generated: report.generated,
-        served: report.served,
-        rejected: report.rejected,
-        delay: title.delay,
-        summary: title.summary,
-        latency: report.latency,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A one-title catalog over `(0, horizon]` with Poisson gaps of mean
+    /// `mean` and an unbounded budget.
+    fn one_title(media_len: u64, horizon: f64, mean: f64) -> MultiServeConfig {
+        MultiServeConfig::new(vec![TitleConfig::new(media_len, mean)], horizon)
+    }
+
     #[test]
     fn unbounded_budget_serves_every_arrival_with_zero_delay() {
-        let report = serve(&ServeConfig::new(64, 500.0, 2.0)).unwrap();
+        let report = serve_multi(&one_title(64, 500.0, 2.0)).unwrap();
         assert!(report.generated > 0, "a 500-slot horizon produces traffic");
         assert_eq!(report.rejected, 0);
         assert_eq!(report.served, report.generated);
-        assert_eq!(report.summary.summary.clients, report.served);
+        let summary = &report.titles[0].summary.summary;
+        assert_eq!(summary.clients, report.served);
         assert_eq!(report.delay, DelayStats::default());
-        assert_eq!(
-            report.summary.summary.bandwidth.total_units(),
-            report.summary.summary.total_units
-        );
+        assert_eq!(summary.bandwidth.total_units(), summary.total_units);
         let l = report.latency;
         assert!(l.p50_ns <= l.p90_ns && l.p90_ns <= l.p99_ns && l.p99_ns <= l.max_ns);
         assert!(l.max_ns > 0, "pushes take measurable time");
@@ -521,26 +390,26 @@ mod tests {
 
     #[test]
     fn replays_are_deterministic_modulo_latency() {
-        let config = ServeConfig::new(32, 300.0, 1.5);
-        let a = serve(&config).unwrap();
-        let b = serve(&config).unwrap();
+        let config = one_title(32, 300.0, 1.5);
+        let a = serve_multi(&config).unwrap();
+        let b = serve_multi(&config).unwrap();
         assert_eq!(a.generated, b.generated);
         assert_eq!(a.delay, b.delay);
-        assert_eq!(a.summary, b.summary);
+        assert_eq!(a.titles[0].summary, b.titles[0].summary);
     }
 
     #[test]
     fn seeds_change_the_workload() {
-        let base = ServeConfig::new(32, 400.0, 1.5);
-        let other = ServeConfig {
+        let base = one_title(32, 400.0, 1.5);
+        let other = MultiServeConfig {
             seed: base.seed + 1,
             ..base.clone()
         };
-        let a = serve(&base).unwrap();
-        let b = serve(&other).unwrap();
+        let a = serve_multi(&base).unwrap();
+        let b = serve_multi(&other).unwrap();
         assert_ne!(
-            (a.generated, a.summary.summary.total_units),
-            (b.generated, b.summary.summary.total_units),
+            (a.generated, a.titles[0].summary.summary.total_units),
+            (b.generated, b.titles[0].summary.summary.total_units),
             "different seeds should draw different traffic"
         );
     }
@@ -551,14 +420,15 @@ mod tests {
         // arrivals here; the delay planner serves all of them, pushing
         // start-up back by up to about one media length, and keeps at
         // most the draining tree plus the live one retained.
-        let config = ServeConfig {
+        let config = MultiServeConfig {
             budget: Some(1),
-            ..ServeConfig::new(40, 600.0, 1.0)
+            ..one_title(40, 600.0, 1.0)
         };
-        let report = serve(&config).unwrap();
+        let report = serve_multi(&config).unwrap();
+        let summary = &report.titles[0].summary;
         assert_eq!(report.rejected, 0, "delay replaces rejection");
         assert_eq!(report.served, report.generated);
-        assert_eq!(report.summary.summary.clients, report.generated);
+        assert_eq!(summary.summary.clients, report.generated);
         assert!(
             report.delay.max_slots > 0,
             "dense traffic over one channel must queue"
@@ -570,19 +440,19 @@ mod tests {
         );
         assert!(report.delay.mean_slots > 0.0);
         assert!(
-            report.summary.max_open_trees <= 2,
+            summary.max_open_trees <= 2,
             "one channel keeps at most a draining tree plus the live one, got {}",
-            report.summary.max_open_trees
+            summary.max_open_trees
         );
     }
 
     #[test]
     fn zero_budget_is_rejected_as_infeasible() {
-        let config = ServeConfig {
+        let config = MultiServeConfig {
             budget: Some(0),
-            ..ServeConfig::new(16, 200.0, 2.0)
+            ..one_title(16, 200.0, 2.0)
         };
-        match serve(&config) {
+        match serve_multi(&config) {
             Err(ServeError::Config { field, .. }) => assert_eq!(field, "budget"),
             other => panic!("expected Config error for budget, got {other:?}"),
         }
@@ -591,9 +461,11 @@ mod tests {
     #[test]
     fn reports_stream_out_in_service_order() {
         let mut clients = Vec::new();
-        let report = serve_with(&ServeConfig::new(24, 250.0, 1.0), |r| {
-            clients.push(r.client);
-        })
+        let report = serve_multi_with(
+            &one_title(24, 250.0, 1.0),
+            &sm_server::PlannerMemo::new(),
+            |_, r| clients.push(r.client),
+        )
         .unwrap();
         assert_eq!(clients.len(), report.served);
         let in_order: Vec<usize> = (0..report.served).collect();
@@ -607,37 +479,37 @@ mod tests {
     fn pipeline_depth_does_not_change_the_traffic() {
         // Depth only moves the backpressure point between generator and
         // ingest; the drawn process and the served forest are identical.
-        let shallow = ServeConfig {
+        let shallow = MultiServeConfig {
             pipeline_depth: 1,
-            ..ServeConfig::new(32, 400.0, 2.0)
+            ..one_title(32, 400.0, 2.0)
         };
-        let deep = ServeConfig {
+        let deep = MultiServeConfig {
             pipeline_depth: 8,
             ..shallow.clone()
         };
-        let a = serve(&shallow).unwrap();
-        let b = serve(&deep).unwrap();
+        let a = serve_multi(&shallow).unwrap();
+        let b = serve_multi(&deep).unwrap();
         assert_eq!(a.generated, b.generated);
-        assert_eq!(a.summary, b.summary);
+        assert_eq!(a.titles[0].summary, b.titles[0].summary);
     }
 
     #[test]
     fn config_validation_names_the_offending_field() {
-        let cases: [(ServeConfig, &str); 5] = [
-            (ServeConfig::new(0, 100.0, 1.0), "media_len"),
-            (ServeConfig::new(8, 0.0, 1.0), "horizon"),
-            (ServeConfig::new(8, f64::INFINITY, 1.0), "horizon"),
-            (ServeConfig::new(8, 100.0, 0.0), "mean_interarrival"),
+        let cases: [(MultiServeConfig, &str); 5] = [
+            (one_title(0, 100.0, 1.0), "media_len"),
+            (one_title(8, 0.0, 1.0), "horizon"),
+            (one_title(8, f64::INFINITY, 1.0), "horizon"),
+            (one_title(8, 100.0, 0.0), "mean_interarrival"),
             (
-                ServeConfig {
+                MultiServeConfig {
                     pipeline_depth: 0,
-                    ..ServeConfig::new(8, 100.0, 1.0)
+                    ..one_title(8, 100.0, 1.0)
                 },
                 "pipeline_depth",
             ),
         ];
         for (config, want) in cases {
-            match serve(&config) {
+            match serve_multi(&config) {
                 Err(ServeError::Config { field, .. }) => assert_eq!(field, want),
                 other => panic!("expected Config error for {want}, got {other:?}"),
             }
@@ -649,11 +521,14 @@ mod tests {
         // A zero client buffer makes any actual merge infeasible; dense
         // traffic guarantees merges, so the run must fail with the
         // engine's own typed error.
-        let config = ServeConfig {
-            buffer_bound: Some(0),
-            ..ServeConfig::new(32, 300.0, 1.0)
-        };
-        match serve(&config) {
+        let config = MultiServeConfig::new(
+            vec![TitleConfig {
+                buffer_bound: Some(0),
+                ..TitleConfig::new(32, 1.0)
+            }],
+            300.0,
+        );
+        match serve_multi(&config) {
             Err(ServeError::Ingest(IngestError::Sim(SimError::BufferOverflow { .. })))
             | Err(ServeError::Sim(SimError::BufferOverflow { .. })) => {}
             other => panic!("expected BufferOverflow, got {other:?}"),

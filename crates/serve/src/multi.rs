@@ -80,8 +80,8 @@ use crate::{DelayHistogram, DelayStats, LatencyHistogram, LatencyStats, ServeErr
 /// title draws from an RNG that is a pure function of `(seed, i, title)`.
 const BATCH_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Per-title seed mixer (xxhash's odd prime). Title 0's salt is zero, so
-/// a one-title run draws the identical traffic a [`crate::serve`] run
-/// draws — the single-title path is the one-title specialization.
+/// title 0 of any catalog draws the identical traffic a one-title run
+/// draws.
 const TITLE_SALT: u64 = 0xC2B2_AE3D_27D4_EB4F;
 /// One engine push in this many has its wall-clock cost sampled, starting
 /// with the first; a power of two, so the test is a mask.
@@ -683,16 +683,19 @@ mod tests {
 
     #[test]
     fn title_zero_draws_the_single_title_traffic() {
-        // The one-title multi run and the single-title facade draw the
-        // same Poisson process and serve the same forest.
-        let single = crate::serve(&crate::ServeConfig::new(64, 500.0, 2.0)).unwrap();
-        let multi = serve_multi(&MultiServeConfig::new(
+        // Title 0's seed salt is zero and an unbounded budget plans no
+        // delay, so title 0 of a catalog draws the same Poisson process
+        // and serves the same forest as the one-title run of its config.
+        let single = serve_multi(&MultiServeConfig::new(
             vec![TitleConfig::new(64, 2.0)],
             500.0,
         ))
         .unwrap();
-        assert_eq!(multi.generated, single.generated);
-        assert_eq!(multi.titles[0].summary, single.summary);
+        let mut catalog = titles3();
+        catalog[0] = TitleConfig::new(64, 2.0);
+        let multi = serve_multi(&MultiServeConfig::new(catalog, 500.0)).unwrap();
+        assert_eq!(multi.titles[0].generated, single.generated);
+        assert_eq!(multi.titles[0].summary, single.titles[0].summary);
     }
 
     #[test]

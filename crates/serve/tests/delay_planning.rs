@@ -1,6 +1,6 @@
 //! Delay re-planning acceptance tests.
 //!
-//! * The single-title path at an unbounded budget is **bit-identical** to
+//! * A one-title run at an unbounded budget is **bit-identical** to
 //!   the retired PR-6 license-gating loop with its gauge disabled — the
 //!   reference loop is replicated inline here (same per-batch Poisson
 //!   seeding, same co-slot batching, same dyadic policy, no planning) and
@@ -14,30 +14,29 @@
 
 use proptest::prelude::*;
 use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
-use sm_serve::{
-    serve, serve_multi, MultiServeConfig, PolicyKind, PolicySwap, ServeConfig, TitleConfig,
-};
+use sm_serve::{serve_multi, MultiServeConfig, PolicyKind, PolicySwap, TitleConfig};
 use sm_sim::{Attach, IncrementalEngine, IncrementalSummary, SimConfig};
 use sm_workload::{ArrivalProcess, PoissonProcess};
 
 /// The PR-6 ingest loop with `max_active: None`, replicated verbatim:
 /// per-batch Poisson seeding, slot flooring, co-slot batching under the
-/// slot head, dyadic policy, no delay planner. What `serve` must still
-/// compute at an unbounded budget.
-fn license_gating_reference(config: &ServeConfig) -> IncrementalSummary {
+/// slot head, dyadic policy, no delay planner. What a one-title
+/// `serve_multi` run must still compute at an unbounded budget.
+fn license_gating_reference(config: &MultiServeConfig) -> IncrementalSummary {
+    let title = &config.titles[0];
     let n_batches = (config.horizon / config.batch_slots).ceil() as usize;
     let mut arrivals: Vec<f64> = Vec::new();
     for i in 0..n_batches {
         let offset = i as f64 * config.batch_slots;
         let span = (config.horizon - offset).min(config.batch_slots);
         let mut proc = PoissonProcess::new(
-            config.mean_interarrival,
+            title.mean_interarrival,
             config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
         arrivals.extend(proc.generate(span).iter().map(|t| offset + t));
     }
-    let mut engine = IncrementalEngine::new(config.media_len, SimConfig::events()).unwrap();
-    let mut policy = DyadicMerger::new(DyadicConfig::golden_poisson(), config.media_len as f64);
+    let mut engine = IncrementalEngine::new(title.media_len, SimConfig::events()).unwrap();
+    let mut policy = DyadicMerger::new(DyadicConfig::golden_poisson(), title.media_len as f64);
     let mut slot_reps: Vec<usize> = Vec::new();
     let mut cur: Option<(i64, usize)> = None;
     for t in arrivals {
@@ -71,15 +70,15 @@ proptest! {
         mean in 0.5f64..4.0,
         seed in 0u64..1000,
     ) {
-        let config = ServeConfig {
+        let config = MultiServeConfig {
             seed,
-            ..ServeConfig::new(media_len, horizon, mean)
+            ..MultiServeConfig::new(vec![TitleConfig::new(media_len, mean)], horizon)
         };
-        let report = serve(&config).unwrap();
+        let report = serve_multi(&config).unwrap();
         prop_assert_eq!(report.rejected, 0);
         prop_assert_eq!(report.served, report.generated);
         prop_assert_eq!(report.delay.max_slots, 0);
-        prop_assert_eq!(report.summary, license_gating_reference(&config));
+        prop_assert_eq!(&report.titles[0].summary, &license_gating_reference(&config));
     }
 
     #[test]

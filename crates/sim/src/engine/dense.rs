@@ -3,7 +3,7 @@
 //! Replays every client over every slot of its playback window with dense
 //! per-slot scratch vectors. Cost is `O(span × clients)` time and `O(L)`
 //! memory per client, which is fine for the paper-scale figures and makes
-//! it the easy-to-audit oracle the event engine is pinned against.
+//! it the easy-to-audit oracle the incremental engine is pinned against.
 
 use super::{ClientReport, SimConfig, SimReport};
 use crate::error::SimError;

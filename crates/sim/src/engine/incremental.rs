@@ -1,54 +1,77 @@
-//! The push-based serving engine: arrivals are *ingested* one at a time.
+//! The production engine: arrivals are *ingested* one at a time.
 //!
-//! The batch engines ([`dense`](super::dense), [`events`](super::events))
-//! need the whole `(forest, times)` pair up front. A serving loop has
-//! neither: clients show up one by one, the merge policy commits each one
-//! at traffic time, and reports must flow out while the horizon is still
-//! growing. [`IncrementalEngine`] is the event engine refactored around
-//! that ingest direction:
+//! A serving loop has neither a forest nor a horizon up front: clients
+//! show up one by one, the merge policy commits each one at traffic time,
+//! and reports must flow out while the horizon is still growing. An
+//! off-line replay is the same computation fed an arrival sequence known
+//! in advance, so the batch API ([`super::simulate_with`],
+//! [`super::simulate_streaming`]) is a thin layer that pushes a ready-made
+//! `(forest, times)` pair through this engine ([`simulate_incremental`]).
+//! [`IncrementalEngine`] works as follows:
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
 //!   (the model's invariant: merging across closed trees is impossible
 //!   because their streams have already begun). The open tree is a
 //!   [`TreeArena`] (flat `u32` columns, recycled through a storage pool so
-//!   steady-state pushes are allocation-free) grown in place by
-//!   `push_arrival` plus a vector of
-//!   *tentative* Lemma-1 stream specs: attaching `y` under `p` makes `y`
-//!   the last descendant of its entire root path, so exactly the nodes on
-//!   that path update, to `ℓ(x) = (t_y − t_x) + (t_y − t_{p(x)})` —
-//!   `O(depth)` per arrival, no re-derivation from the prefix;
+//!   steady-state pushes are allocation-free) grown in place plus a
+//!   vector of *tentative* Lemma-1 stream specs: attaching `y` under `p`
+//!   makes `y` the last descendant of its entire root path, so exactly the
+//!   nodes on that path update, to `ℓ(x) = (t_y − t_x) + (t_y − t_{p(x)})`
+//!   — in the same `O(depth)` walk ([`TreeArena::push_arrival_with`]) that
+//!   updates the arena's last descendants, with no re-derivation from the
+//!   prefix;
 //! * **deadlines fire during ingest** — a client's report depends only on
 //!   its root-path arrival times and on spec fields that later arrivals
 //!   can only *grow* past its demands (`t_z ≥ t_c` for every later
 //!   descendant), so each report is final the moment the client's last
 //!   part-deadline `t_c + L` falls strictly before the ingest clock.
 //!   Reports stream out through `emit` in deadline order (ties by arrival
-//!   index) — exactly the order and values of
-//!   [`simulate_streaming`](super::events::simulate_streaming), including
-//!   which error fires first;
+//!   index), with exactly the values and first error of the
+//!   [`dense`](super::dense) oracle;
 //! * **bandwidth change-points finalize at tree closure** — a stream's end
 //!   moves later while descendants can still attach (a tied co-arrival
-//!   even gains its start retroactively), so a tree contributes its
-//!   `(start, ±1)` events to a global min-heap only when a new root
-//!   closes it. All future events then lie at or past the closing root's
-//!   arrival, so the heap drains strictly below it into the same sparse
-//!   `ProfileBuilder` sweep the event engine uses. Heap and retention
-//!   are `O(open trees + active streams)`, never `O(arrivals)`;
+//!   even gains its start retroactively), so a tree hands its streams to
+//!   the bandwidth meter only when a new root closes it. Starts are
+//!   arrival times, already sorted, so they queue in a FIFO; only ends
+//!   need a min-heap. All future events lie at or past the closing root's
+//!   arrival, so both drain strictly below it into one sparse
+//!   `ProfileBuilder` sweep. Queue, heap and retention are
+//!   `O(open trees + active streams)`, never `O(arrivals)`;
 //! * **time travel is rejected, interleaving is not** — `push` accepts any
 //!   nondecreasing time sequence (ties included) and fails fast with
 //!   [`IngestError::OutOfOrder`] otherwise, leaving the engine untouched.
 //!
-//! The `engine_equivalence` proptest suite pins this engine bit-identical
-//! (reports, emission order, summary, first error) to the event engine on
-//! every sorted input.
+//! Per-client metrics are computed in closed form from the receiving
+//! program's segments instead of slot-by-slot replay. For a client at `t_c`
+//! receiving parts `[first, last]` from the stream of node `x_j` (started at
+//! `t_j`):
+//!
+//! * part `q` is broadcast in slot `t_j + q − 1` and plays in slot
+//!   `t_c + q − 1`, so the *slack* `t_c − t_j` and the *stall* condition
+//!   `t_j > t_c` are constant across the segment;
+//! * reception occupies the slot interval `[t_j+first−1, t_j+last−1]`, so
+//!   receive-two compliance is interval-overlap ≤ 2;
+//! * buffer occupancy `received(τ) − played(τ)` is piecewise linear in `τ`
+//!   with kinks only at segment interval endpoints (and `t_c`, `t_c + L`);
+//!   one merged sweep over the sorted endpoints evaluates every kink
+//!   candidate with a running `(open streams, Σ open starts, finished
+//!   parts)` prefix — `O(segments log segments)` total, never
+//!   candidates × segments.
+//!
+//! All per-client evaluation state lives in one `EngineScratch` reused
+//! across every client of the run. The pointer-based
+//! `MergeTree`/`ReceivingProgram` stay the validated constructors; the
+//! dense oracle keeps using them directly, so the arena lowering itself is
+//! cross-checked. The `engine_equivalence` proptest suite pins this engine
+//! bit-identical (reports, emission order, summary, first error) to the
+//! dense oracle on every sorted input.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use super::events::{eval_client, EngineScratch, StreamingSummary};
 use super::{ClientReport, SimConfig};
 use crate::error::SimError;
-use crate::metrics::ProfileBuilder;
+use crate::metrics::{BandwidthProfile, ProfileBuilder};
 use crate::schedule::{checked_media_len, StreamSpec};
 use sm_core::{MergeForest, ModelError, TreeArena};
 
@@ -67,7 +90,7 @@ pub enum Attach {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
     /// A simulation-model violation (same errors, same precedence, as the
-    /// batch engines).
+    /// dense oracle).
     Sim(SimError),
     /// The arrival time moved backwards; the serving clock only advances.
     OutOfOrder {
@@ -109,12 +132,39 @@ impl From<SimError> for IngestError {
     }
 }
 
+/// The batch API's view of an ingest failure. Only [`IngestError::Sim`]
+/// can come out of a replay of a valid forest over sorted times; the other
+/// two map onto the model errors they stand for.
+impl From<IngestError> for SimError {
+    fn from(e: IngestError) -> Self {
+        match e {
+            IngestError::Sim(e) => e,
+            IngestError::OutOfOrder { .. } => Self::Model(ModelError::TimesNotSorted),
+            IngestError::ParentNotOpen { node, parent } => {
+                Self::Model(ModelError::ParentNotEarlier { node, parent })
+            }
+        }
+    }
+}
+
+/// Whole-run aggregates of a streaming simulation (everything a
+/// [`SimReport`](super::SimReport) holds except the per-client vector).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamingSummary {
+    /// Server bandwidth at its change-points.
+    pub bandwidth: BandwidthProfile,
+    /// Total transmitted slot-units (`= Fcost`).
+    pub total_units: i64,
+    /// Number of clients served (and emitted).
+    pub clients: usize,
+}
+
 /// Whole-run aggregates of an ingest run: the batch
 /// [`StreamingSummary`] plus the ingest loop's own memory gauge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncrementalSummary {
-    /// Bit-identical to what [`super::events::simulate_streaming`] returns
-    /// for the same arrivals.
+    /// Bit-identical to what [`super::simulate_streaming`] returns for the
+    /// same arrivals.
     pub summary: StreamingSummary,
     /// High-water mark of simultaneously retained trees (the open tree
     /// plus closed trees with clients still inside their playback
@@ -122,56 +172,56 @@ pub struct IncrementalSummary {
     pub max_open_trees: usize,
 }
 
-/// Recyclable per-tree storage: the arena columns plus the times and spec
-/// buffers. Fully-served trees return their storage here so later opens
-/// reuse the capacity instead of allocating.
+/// One retained merge tree: the open tree grows in place, closed trees
+/// wait only for their clients' last part-deadlines. Served-out trees go
+/// back to the engine's pool, and later opens reuse their storage instead
+/// of allocating.
 #[derive(Debug, Default)]
-struct TreeStorage {
-    arena: TreeArena,
-    times: Vec<i64>,
-    specs: Vec<StreamSpec>,
-}
-
-/// The tree currently accepting arrivals.
-#[derive(Debug)]
-struct OpenTree {
+struct Tree {
     /// Global index of the root.
     base: usize,
     arena: TreeArena,
     times: Vec<i64>,
-    /// Tentative Lemma-1 specs: exact for the tree as grown so far; only
-    /// root-path entries of future arrivals can still grow.
+    /// Lemma-1 specs: final once the tree is closed; while it is open,
+    /// tentative — exact for the tree as grown so far, and only root-path
+    /// entries of future arrivals can still grow.
     specs: Vec<StreamSpec>,
 }
 
-impl OpenTree {
-    fn new(base: usize, time: i64, media: i64, storage: TreeStorage) -> Self {
-        let TreeStorage {
-            mut arena,
-            mut times,
-            mut specs,
-        } = storage;
-        arena.reset_singleton();
-        times.clear();
-        times.push(time);
-        specs.clear();
-        specs.push(StreamSpec {
+impl Tree {
+    /// Resets the storage to a fresh tree: a root at `time` with global
+    /// index `base` and a full-length stream.
+    fn reset(&mut self, base: usize, time: i64, media: i64) {
+        self.base = base;
+        self.arena.reset_singleton();
+        self.times.clear();
+        self.times.push(time);
+        self.specs.clear();
+        self.specs.push(StreamSpec {
             node: base,
             start: time,
             length: media,
         });
-        Self {
-            base,
-            arena,
-            times,
-            specs,
-        }
+    }
+
+    /// One past the global index of the tree's last arrival.
+    fn end(&self) -> usize {
+        self.base + self.times.len()
     }
 
     /// Attaches an arrival at `time` under local node `parent`, updating
-    /// the tentative lengths of exactly the new node's root path.
+    /// the tentative lengths of exactly the new node's root path in the
+    /// arena's own last-descendant walk: the new node becomes the last
+    /// descendant of every proper ancestor `a`, so each non-root `a` gets
+    /// `ℓ(a) = (t_y − t_a) + (t_y − t_{p(a)})`; the root keeps the full
+    /// media length.
     fn attach(&mut self, time: i64, parent: usize) -> Result<(), ModelError> {
-        let x = self.arena.push_arrival(parent)?;
+        let (times, specs) = (&self.times, &mut self.specs);
+        let x = self.arena.push_arrival_with(parent, |a, up| {
+            if let Some(p) = up {
+                specs[a].length = (time - times[a]) + (time - times[p]);
+            }
+        })?;
         self.times.push(time);
         // The new node is its own last descendant: ℓ = t_y − t_p.
         self.specs.push(StreamSpec {
@@ -179,27 +229,8 @@ impl OpenTree {
             start: time,
             length: time - self.times[parent],
         });
-        // …and the new last descendant of every proper ancestor: each
-        // non-root ancestor a becomes ℓ(a) = (t_y − t_a) + (t_y − t_{p(a)}).
-        // The root keeps the full media length.
-        let mut cur = parent;
-        while let Some(p) = self.arena.parent(cur) {
-            self.specs[cur].length = (time - self.times[cur]) + (time - self.times[p]);
-            cur = p;
-        }
         Ok(())
     }
-}
-
-/// A closed tree retained only while clients inside it still await their
-/// last part-deadline.
-#[derive(Debug)]
-struct ClosedTree {
-    base: usize,
-    arena: TreeArena,
-    times: Vec<i64>,
-    specs: Vec<StreamSpec>,
-    remaining: usize,
 }
 
 /// Arrival-at-a-time serving engine; see the module docs for the design.
@@ -219,14 +250,21 @@ pub struct IncrementalEngine {
     n: usize,
     /// Deadline cursor: next client to evaluate and emit.
     ci: usize,
-    open: Option<OpenTree>,
-    closed: VecDeque<ClosedTree>,
+    /// The tree accepting arrivals.
+    open: Option<Tree>,
+    /// Closed trees with clients still awaiting their deadlines, oldest
+    /// first.
+    closed: VecDeque<Tree>,
     /// Reclaimed storage of fully-served trees; opening a new tree pops
     /// from here, so steady-state ingest allocates nothing.
-    pool: Vec<TreeStorage>,
-    /// Bandwidth change events `(slot, ±1)` of *closed* trees, drained
-    /// strictly below the latest closing root's arrival time.
-    events: BinaryHeap<Reverse<(i64, i32)>>,
+    pool: Vec<Tree>,
+    /// Start slots of the positive-length streams of *closed* trees, in
+    /// order (they are arrival times), drained strictly below the latest
+    /// closing root's arrival time together with `ends`.
+    starts: VecDeque<i64>,
+    /// End slots of the same streams, as a min-heap (an end always lies
+    /// past its own start, so it never drains first).
+    ends: BinaryHeap<Reverse<i64>>,
     active: u32,
     profile: ProfileBuilder,
     total_units: i64,
@@ -250,7 +288,8 @@ impl IncrementalEngine {
             open: None,
             closed: VecDeque::new(),
             pool: Vec::new(),
-            events: BinaryHeap::new(),
+            starts: VecDeque::new(),
+            ends: BinaryHeap::new(),
             active: 0,
             profile: ProfileBuilder::new(),
             total_units: 0,
@@ -298,8 +337,9 @@ impl IncrementalEngine {
         match attach {
             Attach::Root => {
                 self.close_open(Some(time));
-                let storage = self.pool.pop().unwrap_or_default();
-                self.open = Some(OpenTree::new(self.n, time, self.media, storage));
+                let mut tree = self.pool.pop().unwrap_or_default();
+                tree.reset(self.n, time, self.media);
+                self.open = Some(tree);
             }
             Attach::Under(parent) => {
                 let node = self.n;
@@ -351,111 +391,77 @@ impl IncrementalEngine {
             // The next unserved client always lives in the *front* closed
             // tree (earlier trees were dropped exactly when served out),
             // or in the open tree once no closed tree is left.
-            if let Some(front) = self.closed.front_mut() {
-                debug_assert!((front.base..front.base + front.times.len()).contains(&self.ci));
-                let local = self.ci - front.base;
-                if before.is_some_and(|h| front.times[local] + self.media >= h) {
-                    return Ok(());
-                }
-                let report = eval_client(
-                    &front.arena,
-                    &front.times,
-                    &front.specs,
-                    self.media_len,
-                    front.base,
-                    local,
-                    self.config,
-                    &mut self.scratch,
-                )?;
-                emit(report);
-                self.ci += 1;
-                front.remaining -= 1;
-                if front.remaining == 0 {
-                    if let Some(done) = self.closed.pop_front() {
-                        self.pool.push(TreeStorage {
-                            arena: done.arena,
-                            times: done.times,
-                            specs: done.specs,
-                        });
-                    }
-                }
-            } else if let Some(open) = self.open.as_ref() {
-                debug_assert!(self.ci >= open.base);
-                let local = self.ci - open.base;
-                if before.is_some_and(|h| open.times[local] + self.media >= h) {
-                    return Ok(());
-                }
-                // Tentative specs are safe here: every spec a client reads
-                // can only grow past demands that are fixed at its arrival.
-                let report = eval_client(
-                    &open.arena,
-                    &open.times,
-                    &open.specs,
-                    self.media_len,
-                    open.base,
-                    local,
-                    self.config,
-                    &mut self.scratch,
-                )?;
-                emit(report);
-                self.ci += 1;
-            } else {
+            let Some(tree) = self.closed.front().or(self.open.as_ref()) else {
                 debug_assert!(false, "client {} has no retained tree", self.ci);
                 return Ok(());
+            };
+            debug_assert!((tree.base..tree.end()).contains(&self.ci));
+            let local = self.ci - tree.base;
+            if before.is_some_and(|h| tree.times[local] + self.media >= h) {
+                return Ok(());
+            }
+            // Tentative specs are safe for open-tree clients: every spec a
+            // client reads can only grow past demands fixed at its arrival.
+            emit(eval_client(
+                &tree.arena,
+                &tree.times,
+                &tree.specs,
+                self.media_len,
+                tree.base,
+                local,
+                self.config,
+                &mut self.scratch,
+            )?);
+            self.ci += 1;
+            if self.closed.front().is_some_and(|t| t.end() == self.ci) {
+                if let Some(done) = self.closed.pop_front() {
+                    self.pool.push(done);
+                }
             }
         }
         Ok(())
     }
 
     /// Closes the open tree (if any): its specs are now final, so its
-    /// bandwidth events enter the heap and its units the total; it is
-    /// retained only if unserved clients remain. Then drains every heap
-    /// event strictly below `horizon` (all of them for `None`) — sound
-    /// because every event a future push can add lies at or past the
-    /// closing root's arrival time.
+    /// streams enter the bandwidth queues and its units the total; it is
+    /// retained only if unserved clients remain. Then drains every
+    /// bandwidth event strictly below `horizon` (all of them for `None`) —
+    /// sound because every event a future push can add lies at or past
+    /// the closing root's arrival time.
     fn close_open(&mut self, horizon: Option<i64>) {
         if let Some(open) = self.open.take() {
             for s in &open.specs {
                 if s.length > 0 {
-                    self.events.push(Reverse((s.start, 1)));
-                    self.events.push(Reverse((s.end(), -1)));
+                    self.starts.push_back(s.start);
+                    self.ends.push(Reverse(s.end()));
                 }
                 self.total_units += s.length;
             }
-            let len = open.times.len();
-            let remaining = (open.base + len) - self.ci.max(open.base);
-            if remaining > 0 {
-                self.closed.push_back(ClosedTree {
-                    base: open.base,
-                    arena: open.arena,
-                    times: open.times,
-                    specs: open.specs,
-                    remaining,
-                });
+            if self.ci < open.end() {
+                self.closed.push_back(open);
             } else {
-                self.pool.push(TreeStorage {
-                    arena: open.arena,
-                    times: open.times,
-                    specs: open.specs,
-                });
+                self.pool.push(open);
             }
         }
-        while let Some(&Reverse((t, _))) = self.events.peek() {
+        loop {
+            let t = match (self.starts.front(), self.ends.peek()) {
+                (Some(&s), Some(&Reverse(e))) => s.min(e),
+                (Some(&s), None) => s,
+                (None, Some(&Reverse(e))) => e,
+                (None, None) => break,
+            };
             if horizon.is_some_and(|h| t >= h) {
                 break;
             }
-            // Net the whole instant, then record once: ends and starts at
-            // the same slot coalesce exactly as in the event engine.
-            while let Some(&Reverse((t2, delta))) = self.events.peek() {
-                if t2 != t {
-                    break;
-                }
-                self.events.pop();
-                if delta > 0 {
-                    self.active += 1;
-                } else {
-                    self.active -= 1;
-                }
+            // Net the whole instant, ends before starts, then record once:
+            // a back-to-back handoff is no change.
+            while self.ends.peek().is_some_and(|&Reverse(e)| e == t) {
+                self.ends.pop();
+                self.active -= 1;
+            }
+            while self.starts.front() == Some(&t) {
+                self.starts.pop_front();
+                self.active += 1;
             }
             self.profile.record(t, self.active);
         }
@@ -463,12 +469,13 @@ impl IncrementalEngine {
 }
 
 /// Replays a batch `(forest, times)` pair through the push interface, in
-/// global arrival order — the bridge the equivalence suite and the scale
-/// benchmark use to hold the ingest path against the batch engines.
+/// global arrival order — the path every batch entry point
+/// ([`super::simulate_with`], [`super::simulate_streaming`]) takes on
+/// sorted times.
 ///
 /// `times` must be nondecreasing (the push interface's clock contract);
-/// results are then bit-identical to
-/// [`simulate_streaming`](super::events::simulate_streaming).
+/// reports, summary and first error are then bit-identical to the
+/// [`dense`](super::dense) oracle's.
 pub fn simulate_incremental<F: FnMut(ClientReport)>(
     forest: &MergeForest,
     times: &[i64],
@@ -498,11 +505,294 @@ pub fn simulate_incremental<F: FnMut(ClientReport)>(
     engine.finish(&mut emit).map_err(IngestError::Sim)
 }
 
+/// Reusable per-client evaluation buffers: one allocation set for a whole
+/// run instead of one per client. The receiving program is held in
+/// struct-of-arrays form (`seg_stream`/`seg_first`/`seg_last` parallel
+/// columns) — the arena counterpart of `ReceivingProgram`, rebuilt in
+/// place with identical output and identical `verify` semantics. Shared
+/// across every client of an [`IncrementalEngine`] run.
+#[derive(Debug, Default)]
+struct EngineScratch {
+    /// Root path of the client under evaluation (local indices).
+    path: Vec<usize>,
+    /// Receiving-program segments in part order, struct-of-arrays: source
+    /// stream (local index), first and last part (1-based, inclusive).
+    seg_stream: Vec<usize>,
+    seg_first: Vec<i64>,
+    seg_last: Vec<i64>,
+    /// Interval start slots, sorted ascending.
+    starts: Vec<i64>,
+    /// Exclusive interval end slots (`hi + 1`), sorted ascending.
+    ends: Vec<i64>,
+}
+
+impl EngineScratch {
+    /// Rebuilds `client`'s receiving program into the segment columns and
+    /// verifies it in the same pass — the struct-of-arrays fusion of
+    /// `ReceivingProgram::rebuild` + `verify`: bit-identical segments and
+    /// errors (rebuild is infallible and verify rejects at the first
+    /// offending segment in part order — exactly the order segments are
+    /// generated here, so checking each segment as it is built reports the
+    /// identical first error), no per-client allocation once the columns
+    /// have capacity.
+    fn rebuild_and_verify_program(
+        &mut self,
+        arena: &TreeArena,
+        times: &[i64],
+        media: i64,
+        client: usize,
+    ) -> Result<(), ModelError> {
+        debug_assert_eq!(times.len(), arena.len());
+        arena.path_from_root_into(client, &mut self.path);
+        let path = &self.path;
+        let k = path.len() - 1;
+        let tk = times[path[k]];
+        let client_time = times[client];
+        self.seg_stream.clear();
+        self.seg_first.clear();
+        self.seg_last.clear();
+        let mut expected = 1i64;
+        // j runs from the client's own stream (j = k) down to the root;
+        // the three path times each closed form reads (`t_{j+1}`, `t_j`,
+        // `t_{j−1}`) shift through registers so each level costs a single
+        // `times` load.
+        let mut t_above = tk;
+        let mut tj = tk;
+        for j in (0..=k).rev() {
+            let t_below = if j == 0 { 0 } else { times[path[j - 1]] };
+            let first = 2 * tk - t_above - tj + 1;
+            let last = if j == 0 { media } else { 2 * tk - tj - t_below };
+            self.seg_stream.push(path[j]);
+            self.seg_first.push(first);
+            self.seg_last.push(last);
+            if last >= first {
+                if first < 1 || last > media {
+                    let part = if first < 1 { first } else { last };
+                    return Err(ModelError::PartOutOfRange { part });
+                }
+                if first != expected {
+                    return Err(ModelError::CoverageGap {
+                        expected_part: expected,
+                        found_part: first,
+                    });
+                }
+                // Timeliness: part q is received during slot
+                // [t_stream + q − 1, t_stream + q) and played during
+                // [t_client + q − 1, t_client + q); the source must not be
+                // later than the client (guaranteed by parent < child,
+                // re-checked here against the actual times).
+                if tj > client_time {
+                    return Err(ModelError::ParentNotEarlier {
+                        node: client,
+                        parent: path[j],
+                    });
+                }
+                expected = last + 1;
+            }
+            t_above = tj;
+            tj = t_below;
+        }
+        if expected != media + 1 {
+            return Err(ModelError::CoverageGap {
+                expected_part: expected,
+                found_part: media + 1,
+            });
+        }
+        Ok(())
+    }
+
+    /// Sorts the endpoint views if needed. The hot path pushes endpoints in
+    /// part order, which the closed forms keep sorted for every program the
+    /// verify pass admits on sorted arrivals, so the common case is a single
+    /// ordered scan with no swap; the sorts only fire on adversarial inputs
+    /// (and produce exactly what sorting the part-order endpoints always
+    /// produced, so behavior is unchanged either way).
+    fn sort_endpoints(&mut self) {
+        if !self.starts.is_sorted() {
+            self.starts.sort_unstable();
+        }
+        if !self.ends.is_sorted() {
+            self.ends.sort_unstable();
+        }
+    }
+}
+
+/// Everything one merged endpoint walk learns about a client's reception.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct SweepOutcome {
+    /// Peak concurrent receptions (≤ 2 when compliant).
+    max_concurrent: usize,
+    /// Maximum of `received(τ) − played(τ)` over the playback window.
+    max_buffer: i64,
+    /// First `(slot, count)` where concurrency exceeded two, if any.
+    violation: Option<(i64, i64)>,
+}
+
+/// Receive-two compliance *and* peak buffer occupancy in a single merged
+/// walk over the sorted interval endpoints.
+///
+/// The concurrency half reproduces exactly the change-points (and the first
+/// violating slot) of the sparse reception profile the dense scan is pinned
+/// against. The buffer half exploits that `received(τ) − played(τ)` is
+/// piecewise linear with slope `open_count − 1` between endpoints: for any
+/// *verified* program every interval endpoint lies inside the playback
+/// window `[t_c, t_c + L]` (`lo = 2t_c − t_above ≥ t_c` since every source
+/// on the path arrives no later than the client, and `hi + 1 = t_j + last ≤
+/// t_c + L` since `last ≤ L`), so the window clamps the former standalone
+/// sweep applied are provably no-ops and the running integral evaluated at
+/// each endpoint visits every candidate maximum (the window bounds
+/// themselves can never beat the endpoint values: before the first `lo` and
+/// after the last `hi + 1` the buffer only drains).
+fn endpoint_sweep(scratch: &EngineScratch, t_c: i64, media: i64) -> SweepOutcome {
+    let (starts, ends) = (&scratch.starts, &scratch.ends);
+    debug_assert!(starts.first().is_none_or(|&lo| lo >= t_c));
+    debug_assert!(ends.last().is_none_or(|&e| e <= t_c + media));
+    let (mut si, mut ei) = (0usize, 0usize);
+    let mut count = 0i64;
+    let mut out = SweepOutcome::default();
+    let mut prev = t_c;
+    let mut buf = 0i64;
+    while si < starts.len() || ei < ends.len() {
+        let slot = match (starts.get(si), ends.get(ei)) {
+            (Some(&s), Some(&e)) => s.min(e),
+            (Some(&s), None) => s,
+            (None, Some(&e)) => e,
+            // Unreachable (the loop condition keeps one side non-empty),
+            // but exiting the loop is the honest fallback: the tail checks
+            // still run and no panic surface is introduced.
+            (None, None) => break,
+        };
+        // Buffer at `slot`, evaluated before the count changes: the slope
+        // since the previous endpoint is `count − 1` (reception minus
+        // playback).
+        buf += (count - 1) * (slot - prev);
+        prev = slot;
+        out.max_buffer = out.max_buffer.max(buf);
+        let before = count;
+        while ei < ends.len() && ends[ei] == slot {
+            count -= 1;
+            ei += 1;
+        }
+        while si < starts.len() && starts[si] == slot {
+            count += 1;
+            si += 1;
+        }
+        if count != before {
+            if count > 2 && out.violation.is_none() {
+                out.violation = Some((slot, count));
+            }
+            out.max_concurrent = out.max_concurrent.max(count as usize);
+        }
+    }
+    out
+}
+
+/// Checks one client's program against its tree's schedule and measures it,
+/// in `O(segments log segments)` arithmetic — no per-slot state, no
+/// allocation (everything lives in `scratch`).
+#[allow(clippy::too_many_arguments)] // tree-local slices + scratch, all hot
+fn eval_client(
+    arena: &TreeArena,
+    local_times: &[i64],
+    local_specs: &[StreamSpec],
+    media_len: u64,
+    base: usize,
+    local: usize,
+    config: SimConfig,
+    scratch: &mut EngineScratch,
+) -> Result<ClientReport, SimError> {
+    let media = media_len as i64;
+    let t_c = local_times[local];
+    let global = base + local;
+
+    scratch
+        .rebuild_and_verify_program(arena, local_times, media, local)
+        .map_err(SimError::Model)?;
+
+    // Per-segment closed forms, pushing each non-empty segment's inclusive
+    // receive-slot interval straight into the endpoint views.
+    let mut min_slack = i64::MAX;
+    scratch.starts.clear();
+    scratch.ends.clear();
+    for s in 0..scratch.seg_stream.len() {
+        let (first, last) = (scratch.seg_first[s], scratch.seg_last[s]);
+        if last < first {
+            continue;
+        }
+        let stream = scratch.seg_stream[s];
+        let spec = &local_specs[stream];
+        // Mirrors the dense per-part loop's error precedence: for each part
+        // in order, "stream too short" is checked before "stall", so the
+        // first failing part decides the variant.
+        if first > spec.length {
+            return Err(SimError::StreamTooShort {
+                client: global,
+                stream: base + stream,
+                part: first,
+                length: spec.length,
+            });
+        }
+        if spec.start > t_c {
+            return Err(SimError::Stall {
+                client: global,
+                part: first,
+                received: spec.start + first - 1,
+                deadline: t_c + first - 1,
+            });
+        }
+        if last > spec.length {
+            return Err(SimError::StreamTooShort {
+                client: global,
+                stream: base + stream,
+                part: spec.length + 1,
+                length: spec.length,
+            });
+        }
+        // Part q arrives at the end of slot t_j + q − 1 and plays in slot
+        // t_c + q − 1: slack is t_c − t_j for every part of the segment.
+        min_slack = min_slack.min(t_c - spec.start);
+        scratch.starts.push(spec.start + first - 1);
+        scratch.ends.push(spec.start + last);
+    }
+    scratch.sort_endpoints();
+
+    // Receive-two (segment intervals may overlap at most pairwise — the
+    // first endpoint whose net coverage exceeds 2 is exactly the slot the
+    // dense scan reports) and buffer occupancy (received(τ) − played(τ)
+    // maximized over the playback window; a part received in slot τ′ is
+    // *in hand* from τ′ + 1 on), both from one merged endpoint walk.
+    let sweep = endpoint_sweep(scratch, t_c, media);
+    if let Some((slot, count)) = sweep.violation {
+        return Err(SimError::ReceiveTwoViolation {
+            client: global,
+            slot,
+            count: count as usize,
+        });
+    }
+    let max_buffer = sweep.max_buffer;
+
+    if let Some(bound) = config.buffer_bound {
+        if max_buffer > bound as i64 {
+            return Err(SimError::BufferOverflow {
+                client: global,
+                needed: max_buffer,
+                bound,
+            });
+        }
+    }
+    Ok(ClientReport {
+        client: global,
+        max_buffer,
+        max_concurrent: sweep.max_concurrent,
+        min_slack,
+    })
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::events::simulate_streaming_slice;
+    use super::super::simulate_with;
     use super::*;
-    use sm_core::{consecutive_slots, MergeTree};
+    use sm_core::{consecutive_slots, MergeTree, ReceivingProgram};
 
     fn fig4_forest() -> MergeForest {
         MergeForest::single(
@@ -520,18 +810,20 @@ mod tests {
         )
     }
 
-    /// Both engines over the same input; pins summary, reports, and
-    /// emission order.
-    fn assert_matches_events(forest: &MergeForest, times: &[i64], media_len: u64) {
-        let cfg = SimConfig::default();
-        let mut batch = Vec::new();
-        let expected = simulate_streaming_slice(forest, times, media_len, cfg, |r| batch.push(r));
+    /// The engine against the dense oracle on sorted times; pins summary,
+    /// reports, emission order (= index order) and the first error.
+    fn assert_matches_dense(forest: &MergeForest, times: &[i64], media_len: u64) {
+        let expected = simulate_with(forest, times, media_len, SimConfig::dense());
         let mut inc = Vec::new();
-        let got = simulate_incremental(forest, times, media_len, cfg, |r| inc.push(r));
+        let got = simulate_incremental(forest, times, media_len, SimConfig::default(), |r| {
+            inc.push(r)
+        });
         match (expected, got) {
-            (Ok(summary), Ok(isummary)) => {
-                assert_eq!(isummary.summary, summary);
-                assert_eq!(inc, batch, "reports and emission order must pin");
+            (Ok(report), Ok(isummary)) => {
+                assert_eq!(isummary.summary.bandwidth, report.bandwidth);
+                assert_eq!(isummary.summary.total_units, report.total_units);
+                assert_eq!(isummary.summary.clients, report.clients.len());
+                assert_eq!(inc, report.clients, "reports and emission order must pin");
             }
             (Err(e), Err(IngestError::Sim(ie))) => assert_eq!(ie, e),
             (e, g) => panic!("engines disagree on outcome: {e:?} vs {g:?}"),
@@ -539,9 +831,9 @@ mod tests {
     }
 
     #[test]
-    fn fig4_pins_against_the_event_engine() {
+    fn fig4_pins_against_the_dense_oracle() {
         let forest = fig4_forest();
-        assert_matches_events(&forest, &consecutive_slots(8), 15);
+        assert_matches_dense(&forest, &consecutive_slots(8), 15);
     }
 
     #[test]
@@ -550,7 +842,7 @@ mod tests {
         let forest = MergeForest::from_trees(vec![t.clone(), t, MergeTree::singleton()]).unwrap();
         // Ties within a tree, a tie across the tree boundary, and a gap.
         let times = vec![0, 0, 2, 2, 2, 3, 3, 5, 40];
-        assert_matches_events(&forest, &times, 12);
+        assert_matches_dense(&forest, &times, 12);
     }
 
     #[test]
@@ -561,7 +853,7 @@ mod tests {
         // events to wait for tree closure.
         let tree = MergeTree::from_parents(&[None, Some(0), Some(1)]).unwrap();
         let forest = MergeForest::single(tree);
-        assert_matches_events(&forest, &[5, 5, 7], 20);
+        assert_matches_dense(&forest, &[5, 5, 7], 20);
     }
 
     #[test]
@@ -569,7 +861,7 @@ mod tests {
         let media = 40u64;
         let c = (media / 2 + 1) as usize;
         let forest = MergeForest::single(MergeTree::chain(c));
-        assert_matches_events(&forest, &consecutive_slots(c), media);
+        assert_matches_dense(&forest, &consecutive_slots(c), media);
     }
 
     #[test]
@@ -578,11 +870,25 @@ mod tests {
         let times = consecutive_slots(8);
         let cfg = SimConfig {
             buffer_bound: Some(1),
-            ..SimConfig::default()
+            ..SimConfig::dense()
         };
-        let batch = simulate_streaming_slice(&forest, &times, 15, cfg, |_| {}).unwrap_err();
+        let dense = simulate_with(&forest, &times, 15, cfg).unwrap_err();
         let got = simulate_incremental(&forest, &times, 15, cfg, |_| {}).unwrap_err();
-        assert_eq!(got, IngestError::Sim(batch));
+        assert_eq!(got, IngestError::Sim(dense));
+    }
+
+    #[test]
+    fn ingest_errors_map_to_typed_sim_errors() {
+        let sim = SimError::MediaLenOverflow { media_len: 7 };
+        assert_eq!(SimError::from(IngestError::Sim(sim.clone())), sim);
+        assert_eq!(
+            SimError::from(IngestError::OutOfOrder { time: 1, last: 2 }),
+            SimError::Model(ModelError::TimesNotSorted)
+        );
+        assert_eq!(
+            SimError::from(IngestError::ParentNotOpen { node: 4, parent: 1 }),
+            SimError::Model(ModelError::ParentNotEarlier { node: 4, parent: 1 })
+        );
     }
 
     #[test]
@@ -661,5 +967,153 @@ mod tests {
         let summary =
             simulate_incremental(&forest, &times, 1000, SimConfig::default(), |_| {}).unwrap();
         assert_eq!(summary.max_open_trees, n);
+    }
+
+    /// Quadratic reference for the endpoint sweep: evaluate occupancy at
+    /// every candidate by re-summing all segments.
+    fn max_buffer_quadratic(intervals: &[(i64, i64)], t_c: i64, media: i64) -> i64 {
+        let occupancy = |tau: i64| -> i64 {
+            let received: i64 = intervals
+                .iter()
+                .map(|&(lo, hi)| (tau - lo).clamp(0, hi - lo + 1))
+                .sum();
+            received - (tau - t_c).clamp(0, media)
+        };
+        let clamp_window = |tau: i64| tau.clamp(t_c, t_c + media);
+        let mut max_buffer = 0i64;
+        for &(lo, hi) in intervals {
+            max_buffer = max_buffer.max(occupancy(clamp_window(lo)));
+            max_buffer = max_buffer.max(occupancy(clamp_window(hi + 1)));
+        }
+        max_buffer.max(occupancy(t_c)).max(occupancy(t_c + media))
+    }
+
+    /// A scratch holding the sorted endpoint views of inclusive
+    /// receive-slot `intervals`, as the hot path leaves them.
+    fn scratch_with(intervals: &[(i64, i64)]) -> EngineScratch {
+        let mut scratch = EngineScratch::default();
+        scratch.starts.extend(intervals.iter().map(|&(lo, _)| lo));
+        scratch.ends.extend(intervals.iter().map(|&(_, hi)| hi + 1));
+        scratch.sort_endpoints();
+        scratch
+    }
+
+    fn sweep_with(intervals: &[(i64, i64)], t_c: i64, media: i64) -> i64 {
+        endpoint_sweep(&scratch_with(intervals), t_c, media).max_buffer
+    }
+
+    #[test]
+    fn sweep_matches_quadratic_reference() {
+        // Deterministic pseudo-random interval sets — overlapping, nested,
+        // touching, deeply stacked — drawn inside the playback window, the
+        // domain the verify pass establishes before the sweep ever runs
+        // (every interval of a verified program lies within
+        // [t_c, t_c + media]).
+        let mut state = 0x243F_6A88_85A3_08D3u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..500 {
+            let t_c = (next() % 50) as i64 - 25;
+            let media = 1 + (next() % 40) as i64;
+            let n = (case % 7) as usize;
+            let intervals: Vec<(i64, i64)> = (0..n)
+                .map(|_| {
+                    let lo = t_c + (next() % media as u64) as i64;
+                    let len = (next() % 12) as i64;
+                    (lo, (lo + len).min(t_c + media - 1))
+                })
+                .collect();
+            assert_eq!(
+                sweep_with(&intervals, t_c, media),
+                max_buffer_quadratic(&intervals, t_c, media),
+                "case {case}: t_c={t_c} media={media} intervals={intervals:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn receive_two_sweep_matches_sparse_profile() {
+        // Same randomized interval sets: the merged endpoint walk must see
+        // exactly the change-points (and max) of the sparse profile.
+        let mut state = 0x1319_8A2E_0370_7344u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..500 {
+            let n = (case % 6) as usize;
+            let intervals: Vec<(i64, i64)> = (0..n)
+                .map(|_| {
+                    let lo = (next() % 30) as i64;
+                    (lo, lo + (next() % 10) as i64)
+                })
+                .collect();
+            let swept = endpoint_sweep(&scratch_with(&intervals), 0, 64);
+            let reference =
+                BandwidthProfile::from_intervals(intervals.iter().map(|&(lo, hi)| (lo, hi + 1)));
+            let first_violation = reference
+                .change_points()
+                .iter()
+                .find(|&&(_, count)| count > 2)
+                .map(|&(slot, count)| (slot, count as i64));
+            assert_eq!(swept.violation, first_violation, "case {case}");
+            if first_violation.is_none() {
+                assert_eq!(swept.max_concurrent as u32, reference.peak(), "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_on_no_intervals_is_zero() {
+        assert_eq!(sweep_with(&[], 5, 10), 0);
+        assert_eq!(sweep_with(&[], 0, 0), 0);
+    }
+
+    #[test]
+    fn soa_program_matches_receiving_program_rebuild() {
+        // The scratch's SoA rebuild + verify must agree with the
+        // pointer-based `ReceivingProgram` on the paper's Fig. 4 tree,
+        // client by client, segment by segment.
+        let tree = MergeTree::from_parents(&[
+            None,
+            Some(0),
+            Some(0),
+            Some(0),
+            Some(3),
+            Some(0),
+            Some(5),
+            Some(5),
+        ])
+        .unwrap();
+        let times = consecutive_slots(8);
+        let arena = TreeArena::lower(&tree).unwrap();
+        let mut scratch = EngineScratch::default();
+        for client in 0..tree.len() {
+            let prog = ReceivingProgram::build(&tree, &times, 15, client);
+            let verdict = scratch.rebuild_and_verify_program(&arena, &times, 15, client);
+            assert_eq!(verdict, prog.verify(&times, 15), "client {client}");
+            assert_eq!(scratch.path, prog.path, "client {client}");
+            let soa: Vec<(usize, i64, i64)> = (0..scratch.seg_stream.len())
+                .map(|s| {
+                    (
+                        scratch.seg_stream[s],
+                        scratch.seg_first[s],
+                        scratch.seg_last[s],
+                    )
+                })
+                .collect();
+            let reference: Vec<(usize, i64, i64)> = prog
+                .segments
+                .iter()
+                .map(|seg| (seg.stream, seg.first_part, seg.last_part))
+                .collect();
+            assert_eq!(soa, reference, "client {client}");
+        }
     }
 }

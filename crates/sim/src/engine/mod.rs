@@ -1,32 +1,28 @@
 //! The execution engines.
 //!
-//! Three engines replay every client's receiving program against the
+//! Two engines replay every client's receiving program against the
 //! concrete broadcast schedule and fail with the *first* violation —
 //! stall, receive-two breach, buffer overflow, or a program/schedule
 //! mismatch:
 //!
+//! * [`incremental`] — the production engine: arrivals push in one at a
+//!   time ([`IncrementalEngine::push`]), the open merge tree and its
+//!   tentative Lemma-1 specs grow in place, and reports stream out as
+//!   deadlines fire during ingest — no forest, no horizon, no times slice
+//!   up front, memory proportional to the *open* trees and active streams.
 //! * [`dense`] — the original slot-stepped oracle: every client is swept
 //!   over every slot of its playback window (`O(clients · L²)` time,
 //!   `O(L)` scratch per client). Simple, and kept as the reference.
-//! * [`events`] — the discrete-event engine: the schedule is pulled lazily
-//!   tree-by-tree (a [`crate::ScheduleStream`]) and dropped as trees finish,
-//!   stream ends live in a binary min-heap, and per-client metrics are
-//!   derived from the program's segments by a single sorted-endpoint sweep —
-//!   `O(segments log segments)` per client (never candidates × segments),
-//!   memory proportional to the *active* trees and streams — the
-//!   production batch path.
-//! * [`incremental`] — the event engine turned inside out for *serving*:
-//!   arrivals push in one at a time ([`IncrementalEngine::push`]), the
-//!   open merge tree and its tentative Lemma-1 specs grow in place, and
-//!   reports stream out as deadlines fire during ingest — no forest, no
-//!   horizon, no times slice up front.
 //!
-//! All produce bit-identical reports (pinned by the `engine_equivalence`
-//! proptest suite); [`SimConfig::engine`] selects a batch engine, while
-//! the incremental engine is driven through its own push interface.
+//! The batch API in this module is a thin layer over the two: on
+//! nondecreasing arrival times (every real workload)
+//! [`simulate_with`] with [`Engine::Events`], [`simulate_streaming`] and
+//! [`simulate_streaming_slice`] replay the `(forest, times)` pair through
+//! [`simulate_incremental`]; globally unsorted times, which only tests
+//! build, run the dense oracle. Both engines produce bit-identical reports
+//! and first errors (pinned by the `engine_equivalence` proptest suite).
 
 pub mod dense;
-pub mod events;
 pub mod incremental;
 
 use crate::error::SimError;
@@ -34,9 +30,9 @@ use crate::metrics::BandwidthProfile;
 use crate::schedule::checked_media_len;
 use sm_core::MergeForest;
 
-pub use events::{simulate_streaming, simulate_streaming_slice, Arrival, StreamingSummary};
 pub use incremental::{
     simulate_incremental, Attach, IncrementalEngine, IncrementalSummary, IngestError,
+    StreamingSummary,
 };
 
 /// Which execution engine to run.
@@ -44,7 +40,8 @@ pub use incremental::{
 pub enum Engine {
     /// Slot-stepped reference engine (`O(span · clients)` time).
     Dense,
-    /// Event-driven engine (default): heap-scheduled, sparse accounting.
+    /// Production path (default): the [`IncrementalEngine`] replay, or the
+    /// dense oracle when arrival times are globally unsorted.
     #[default]
     Events,
 }
@@ -67,7 +64,7 @@ impl SimConfig {
         }
     }
 
-    /// Default configuration on the event-driven engine.
+    /// Default configuration on the production path ([`Engine::Events`]).
     pub fn events() -> Self {
         Self {
             engine: Engine::Events,
@@ -101,7 +98,7 @@ pub struct SimReport {
     pub clients: Vec<ClientReport>,
 }
 
-/// Simulates with default configuration (event-driven engine).
+/// Simulates with default configuration (the production path).
 pub fn simulate(
     forest: &MergeForest,
     times: &[i64],
@@ -118,7 +115,8 @@ pub fn simulate(
 /// tree path — agreement is the Lemma 1 ↔ §2 consistency the paper relies
 /// on).
 ///
-/// An empty forest over zero arrivals yields an empty report.
+/// An empty forest over zero arrivals yields an empty report. Reports are
+/// in arrival-index order; the error is the lowest-index client's.
 pub fn simulate_with(
     forest: &MergeForest,
     times: &[i64],
@@ -132,10 +130,112 @@ pub fn simulate_with(
         }));
     }
     checked_media_len(media_len)?;
-    match config.engine {
-        Engine::Dense => dense::run(forest, times, media_len, config),
-        Engine::Events => events::run(forest, times, media_len, config),
+    if config.engine == Engine::Dense || !times.is_sorted() {
+        return dense::run(forest, times, media_len, config);
     }
+    // Sorted times: deadline order is index order, so the emitted reports
+    // arrive already in report order.
+    let mut clients = Vec::with_capacity(times.len());
+    let summary = replay_sorted(forest, times, media_len, config, |r| clients.push(r))?;
+    Ok(SimReport {
+        bandwidth: summary.bandwidth,
+        total_units: summary.total_units,
+        clients,
+    })
+}
+
+/// [`simulate_incremental`] as the batch API sees it: the summary without
+/// the retention gauge, and ingest errors as [`SimError`]s.
+fn replay_sorted<F: FnMut(ClientReport)>(
+    forest: &MergeForest,
+    times: &[i64],
+    media_len: u64,
+    config: SimConfig,
+    emit: F,
+) -> Result<StreamingSummary, SimError> {
+    simulate_incremental(forest, times, media_len, config, emit)
+        .map(|run| run.summary)
+        .map_err(SimError::from)
+}
+
+/// One client arrival — the unit the streaming API ingests.
+///
+/// Thin today (a slot time), but a named type so arrival sources (slices,
+/// generators, sockets) and the engine agree on a vocabulary that can grow
+/// fields without breaking every `IntoIterator` in between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Arrival {
+    /// Arrival slot.
+    pub time: i64,
+}
+
+impl From<i64> for Arrival {
+    fn from(time: i64) -> Self {
+        Self { time }
+    }
+}
+
+/// Simulation with streaming per-client reports, fed by any arrival source
+/// (`Vec`, generator adaptors — `(0..n).map(Arrival::from)` works).
+///
+/// `emit` is called once per client, in part-deadline order (`t_c + L`,
+/// ties by arrival index). On nondecreasing arrival times (the model's
+/// canonical form) the arrivals are replayed through the
+/// [`IncrementalEngine`], so each report is emitted as soon as the
+/// client's program completes and retention tracks the *open* trees, and
+/// the run fails at the first violating part-deadline — which on sorted
+/// times is also the lowest-index violation. Globally unsorted times run
+/// the [`dense`] oracle instead: reports are emitted in the same
+/// part-deadline order after the whole run succeeds, and the error is the
+/// oracle's lowest-index one, exactly what [`simulate_with`] returns.
+/// `config.buffer_bound` is honored; `config.engine` is ignored.
+///
+/// Returns the whole-run aggregates.
+pub fn simulate_streaming<I, F>(
+    forest: &MergeForest,
+    arrivals: I,
+    media_len: u64,
+    config: SimConfig,
+    emit: F,
+) -> Result<StreamingSummary, SimError>
+where
+    I: IntoIterator<Item = Arrival>,
+    F: FnMut(ClientReport),
+{
+    let times: Vec<i64> = arrivals.into_iter().map(|a| a.time).collect();
+    simulate_streaming_slice(forest, &times, media_len, config, emit)
+}
+
+/// The batch-slice form of [`simulate_streaming`]: zero-copy over an
+/// already-materialized times slice. Semantics are identical.
+pub fn simulate_streaming_slice<F: FnMut(ClientReport)>(
+    forest: &MergeForest,
+    times: &[i64],
+    media_len: u64,
+    config: SimConfig,
+    mut emit: F,
+) -> Result<StreamingSummary, SimError> {
+    if times.is_sorted() {
+        return replay_sorted(forest, times, media_len, config, emit);
+    }
+    let report = simulate_with(
+        forest,
+        times,
+        media_len,
+        SimConfig {
+            engine: Engine::Dense,
+            ..config
+        },
+    )?;
+    let mut clients = report.clients;
+    // Stable: deadline ties keep arrival-index order.
+    clients.sort_by_key(|r| times[r.client]);
+    clients.into_iter().for_each(&mut emit);
+    Ok(StreamingSummary {
+        bandwidth: report.bandwidth,
+        total_units: report.total_units,
+        clients: times.len(),
+    })
 }
 
 #[cfg(test)]
@@ -337,9 +437,9 @@ mod tests {
     fn unsorted_sibling_times_agree_with_dense_on_reports_and_first_error() {
         // Sibling order need not follow time order (`from_parents` only
         // constrains indices): with times [0, 5, 2] client 2's part-deadline
-        // fires before client 1's, so the event engine naturally *detects*
-        // client 2's violation first — but it must still report client 1's,
-        // like the dense index-order scan does.
+        // fires before client 1's, but the reported error must still be
+        // client 1's, the dense index-order scan's. Globally unsorted times
+        // take the dense oracle on every engine setting.
         let tree = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
         let forest = MergeForest::single(tree);
         let times = [0i64, 5, 2];
@@ -358,6 +458,52 @@ mod tests {
             err_dense,
             SimError::BufferOverflow { client: 1, .. }
         ));
+    }
+
+    #[test]
+    fn spaced_singleton_trees_stream_in_arrival_order() {
+        // Singleton trees at widely spaced times: every client's deadline
+        // passes before the next tree opens, so reports stream out one per
+        // tree, in arrival order.
+        let n = 64usize;
+        let media = 5u64;
+        let trees = vec![MergeTree::singleton(); n];
+        let forest = MergeForest::from_trees(trees).unwrap();
+        let times: Vec<i64> = (0..n as i64).map(|i| i * 100).collect();
+        let mut served = 0usize;
+        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::events(), |r| {
+            assert_eq!(r.client, served, "deadline order is arrival order");
+            served += 1;
+        })
+        .unwrap();
+        assert_eq!(served, n);
+        assert_eq!(summary.total_units, n as i64 * media as i64);
+        assert_eq!(summary.bandwidth.peak(), 1);
+    }
+
+    #[test]
+    fn deep_chain_tree_streams_cleanly() {
+        // One maximal-depth feasible chain: L ≥ 2(c − 1) with consecutive
+        // arrivals. Exercises the sweep on many-segment programs.
+        let media = 60u64;
+        let c = (media / 2 + 1) as usize;
+        let forest = MergeForest::single(MergeTree::chain(c));
+        let times = consecutive_slots(c);
+        let mut reports = Vec::new();
+        // The iterator entry point, exercised over a generator source.
+        let summary = simulate_streaming(
+            &forest,
+            times.iter().copied().map(Arrival::from),
+            media,
+            SimConfig::events(),
+            |r| reports.push(r),
+        )
+        .unwrap();
+        assert_eq!(reports.len(), c);
+        assert_eq!(summary.total_units, full_cost(&forest, &times, media));
+        for r in &reports {
+            assert!(r.max_concurrent <= 2);
+        }
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //!
 //! A schedule passing [`simulate`] is, by construction, a feasible
 //! delay-guaranteed Media-on-Demand service plan.
+//!
+//! One production engine does the work: the push-based
+//! [`IncrementalEngine`], which serves arrivals one at a time. The batch
+//! API ([`simulate`], [`simulate_with`], [`simulate_streaming`]) replays a
+//! known `(forest, times)` pair through it, and the slot-stepped
+//! [`engine::dense`] oracle checks it (see [`engine`]).
 
 pub mod channels;
 pub mod continuous;

@@ -6,7 +6,7 @@
 //! `2m` distinct values. [`BandwidthProfile`] therefore stores only the
 //! change-points `(slot, count)` instead of one counter per slot — memory is
 //! `O(streams)`, independent of the schedule span, which is what lets the
-//! event-driven engine meter million-arrival horizons without materializing
+//! incremental engine meter million-arrival horizons without materializing
 //! them.
 
 use crate::schedule::StreamSpec;
@@ -143,7 +143,7 @@ impl BandwidthProfile {
     }
 }
 
-/// Incremental builder used by the event-driven engine: feed `(slot, count)`
+/// Incremental builder used by the incremental engine: feed `(slot, count)`
 /// observations in nondecreasing slot order; only actual changes are stored,
 /// so the result is identical to [`BandwidthProfile::from_intervals`] over
 /// the same stream intervals.

@@ -1,7 +1,7 @@
 //! Concrete broadcast schedules: the Fig.-3 view of a merge forest.
 
 use crate::error::SimError;
-use sm_core::{MergeForest, TreeArena};
+use sm_core::MergeForest;
 
 /// One scheduled stream: starts at slot `start`, broadcasts parts
 /// `1..=length` in consecutive slots (part `q` during `[start+q−1, start+q)`).
@@ -64,8 +64,11 @@ impl TreeSchedule {
 /// Yields one [`TreeSchedule`] per tree, in forest order, deriving each
 /// tree's Lemma-1 stream lengths only when the tree is pulled — the whole
 /// forest is never materialized at once, so a consumer that drops trees as
-/// it finishes with them (the event engine's streaming path) holds
-/// `O(active trees)` schedule memory instead of `O(arrivals)`.
+/// it finishes with them (the dynamic server's materializer) holds
+/// `O(active trees)` schedule memory instead of `O(arrivals)`. The
+/// simulator's engines do not read it: the dense oracle takes the eager
+/// [`stream_schedule`], and the incremental engine grows each tree's specs
+/// as arrivals attach.
 ///
 /// Construction fails with [`SimError::MediaLenOverflow`] when `media_len`
 /// does not fit the signed slot arithmetic; iteration itself is infallible.
@@ -148,25 +151,6 @@ impl<'a> ScheduleStream<'a> {
         self.next_tree += 1;
         self.base += tree.len();
         Some(base)
-    }
-
-    /// Arena form of [`next_into`](Self::next_into): additionally lowers the
-    /// pulled tree into `arena` (storage reused). The event engine pulls
-    /// through this so a retained tree is five flat columns plus one spec
-    /// buffer, all recycled from tree to tree.
-    pub fn next_into_arena(
-        &mut self,
-        arena: &mut TreeArena,
-        specs: &mut Vec<StreamSpec>,
-    ) -> Result<Option<usize>, SimError> {
-        let tree_index = self.next_tree;
-        let Some(base) = self.next_into(specs) else {
-            return Ok(None);
-        };
-        arena
-            .lower_into(&self.forest.trees()[tree_index])
-            .map_err(SimError::Model)?;
-        Ok(Some(base))
     }
 }
 

@@ -1,13 +1,14 @@
-//! Oracle equivalence: the event-driven engine must reproduce the dense
-//! slot-stepped engine *bit for bit* — same totals, same bandwidth
+//! Oracle equivalence: the production path must reproduce the dense
+//! slot-stepped oracle *bit for bit* — same totals, same bandwidth
 //! change-points, same per-client `max_buffer`/`max_concurrent`/`min_slack`,
 //! and the same first error on infeasible inputs — across randomized
-//! forests, arrival sequences, media lengths, and buffer bounds. The
+//! forests, arrival sequences, media lengths, and buffer bounds. On sorted
+//! times every batch entry point replays through the push-based
+//! incremental engine, so each case holds three surfaces of that engine
+//! against the dense oracle: the collected `simulate_with` report, the
 //! streaming API (`simulate_streaming`, fed through its `IntoIterator`
-//! entry point) is pinned against the collected `simulate_with` path on
-//! every case, and on every *sorted* case the push-based incremental
-//! engine (`simulate_incremental`) is pinned bit-identical as well:
-//! summary, reports, emission order, and first error.
+//! entry point: summary, reports, emission order, first error), and
+//! `simulate_incremental` itself (the same, plus its retention bound).
 
 use proptest::prelude::*;
 use sm_core::{consecutive_slots, MergeForest, MergeTree};
@@ -16,6 +17,7 @@ use sm_sim::{
     SimConfig, SimError, SimReport,
 };
 
+/// The dense oracle and the collected production path over one input.
 fn run_both(
     forest: &MergeForest,
     times: &[i64],
@@ -72,40 +74,38 @@ fn run_streaming(
     (summary, emitted)
 }
 
-/// The lazy streaming path must agree with the collected event-engine
-/// report: same bandwidth change-points, same totals, same per-client
-/// measurements, and the same first error — with emissions arriving in
-/// part-deadline order.
+/// The dense report's clients in part-deadline order (`t_c + L`, ties by
+/// arrival index) — the order the streaming API emits in. For sorted times
+/// that is arrival order.
+fn deadline_order(report: &SimReport, times: &[i64]) -> Vec<ClientReport> {
+    let mut clients = report.clients.clone();
+    clients.sort_by_key(|r| times[r.client]);
+    clients
+}
+
+/// The streaming API must agree with the collected dense report: same
+/// bandwidth change-points, same totals, same per-client measurements, and
+/// the same first error — with emissions arriving in part-deadline order.
 fn assert_streaming_matches(
     forest: &MergeForest,
     times: &[i64],
     media_len: u64,
     buffer_bound: Option<u64>,
-    events: &Result<SimReport, SimError>,
+    dense: &Result<SimReport, SimError>,
 ) {
-    let (summary, mut emitted) = run_streaming(forest, times, media_len, buffer_bound);
-    match (events, summary) {
+    let (summary, emitted) = run_streaming(forest, times, media_len, buffer_bound);
+    match (dense, summary) {
         (Ok(report), Ok(summary)) => {
             assert_eq!(summary.bandwidth, report.bandwidth);
             assert_eq!(summary.total_units, report.total_units);
             assert_eq!(summary.clients, report.clients.len());
-            // Emission order is part-deadline order (`t_c + L`, ties by
-            // arrival index); for sorted times that is arrival order.
-            let deadlines_sorted = times.windows(2).all(|w| w[0] <= w[1]);
-            if deadlines_sorted {
-                assert_eq!(emitted, report.clients, "emission order = arrival order");
-            } else {
-                emitted.sort_unstable_by_key(|r| r.client);
-                assert_eq!(emitted, report.clients);
-            }
+            assert_eq!(emitted, deadline_order(report, times), "emission order");
         }
         (Err(report_err), Err(stream_err)) => {
-            // `simulate_with` normalizes the first error to arrival-index
-            // order; the raw stream fails at the first part-*deadline*
-            // violation. For sorted times the two coincide.
-            if times.windows(2).all(|w| w[0] <= w[1]) {
-                assert_eq!(*report_err, stream_err);
-            }
+            // On sorted times the stream fails at the first part-deadline
+            // violation, which is the lowest-index one; unsorted times run
+            // the dense oracle itself.
+            assert_eq!(*report_err, stream_err, "first error must pin");
         }
         (report, summary) => {
             panic!("streaming/collected feasibility disagreement: {report:?} vs {summary:?}")
@@ -114,15 +114,15 @@ fn assert_streaming_matches(
 }
 
 /// The push-based incremental engine replayed over the same arrivals must
-/// be bit-identical to the collected event-engine report on every *sorted*
-/// input (the push interface's clock contract): same summary, same
-/// reports in the same emission order, same first error.
+/// be bit-identical to the dense report on every *sorted* input (the push
+/// interface's clock contract): same summary, same reports in the same
+/// emission order, same first error.
 fn assert_incremental_matches(
     forest: &MergeForest,
     times: &[i64],
     media_len: u64,
     buffer_bound: Option<u64>,
-    events: &Result<SimReport, SimError>,
+    dense: &Result<SimReport, SimError>,
 ) {
     if !times.windows(2).all(|w| w[0] <= w[1]) {
         return;
@@ -138,7 +138,7 @@ fn assert_incremental_matches(
         },
         |r| emitted.push(r),
     );
-    match (events, got) {
+    match (dense, got) {
         (Ok(report), Ok(inc)) => {
             assert_eq!(inc.summary.bandwidth, report.bandwidth);
             assert_eq!(inc.summary.total_units, report.total_units);
@@ -153,7 +153,7 @@ fn assert_incremental_matches(
             assert_eq!(ingest_err, *batch_err, "first error must pin");
         }
         (batch, ingest) => {
-            panic!("incremental/batch feasibility disagreement: {batch:?} vs {ingest:?}")
+            panic!("incremental/dense feasibility disagreement: {batch:?} vs {ingest:?}")
         }
     }
 }
@@ -167,8 +167,8 @@ fn assert_engines_agree(
 ) {
     let (dense, events) = run_both(forest, times, media_len, buffer_bound);
     assert_eq!(dense, events, "L = {media_len}, n = {}", times.len());
-    assert_streaming_matches(forest, times, media_len, buffer_bound, &events);
-    assert_incremental_matches(forest, times, media_len, buffer_bound, &events);
+    assert_streaming_matches(forest, times, media_len, buffer_bound, &dense);
+    assert_incremental_matches(forest, times, media_len, buffer_bound, &dense);
     if let Ok(report) = events {
         assert_eq!(report.bandwidth.total_units(), report.total_units);
         // Per-slot bandwidth agreement at every change-point (and just
@@ -281,7 +281,7 @@ proptest! {
     }
 
     #[test]
-    fn simultaneous_arrivals_pin_all_three_engines(
+    fn simultaneous_arrivals_pin_both_engines(
         seeds in proptest::collection::vec(0u64..1_000_000_000, 2..40),
         media_len in 2u64..20,
     ) {
@@ -290,8 +290,8 @@ proptest! {
         // title's tree and *across* tree boundaries), whether the arrival
         // opens a new title's tree, and where it merges. Tie-breaking —
         // deadline ties resolve in arrival-index order, co-arrival streams
-        // start at the same slot — must pin identically across the dense,
-        // event, and incremental engines.
+        // start at the same slot — must pin identically across the dense
+        // and incremental engines.
         let mut times = Vec::with_capacity(seeds.len());
         let mut parents_by_tree: Vec<Vec<Option<usize>>> = Vec::new();
         let mut t = 0i64;
@@ -316,7 +316,7 @@ proptest! {
     }
 
     #[test]
-    fn adversarial_mixed_forests_pin_all_three_engines(
+    fn adversarial_mixed_forests_pin_both_engines(
         seeds in proptest::collection::vec(0u64..1_000_000_000, 1..36),
         media_len in 0u64..12,
     ) {
@@ -326,9 +326,9 @@ proptest! {
         // single-arrival trees, maximum-depth chains (L/2 + 1, the longest
         // feasible chain), overlong chains that *exceed* that depth, and
         // zero-gap arrival ties within and across tree boundaries. Many
-        // cases are infeasible by construction — the dense, event, and
-        // incremental engines must agree bit for bit on the Ok runs and
-        // pin the exact same first error everywhere else.
+        // cases are infeasible by construction — the dense and incremental
+        // engines must agree bit for bit on the Ok runs and pin the exact
+        // same first error everywhere else.
         let max_chain = (media_len / 2 + 1) as usize;
         let mut trees = Vec::new();
         let mut times = Vec::with_capacity(seeds.len());
@@ -364,15 +364,43 @@ proptest! {
 }
 
 #[test]
-fn unsorted_times_take_the_eager_fallback_and_still_agree() {
+fn unsorted_times_stream_from_the_dense_oracle_in_deadline_order() {
     // Sibling order need not follow time order; globally unsorted times
-    // route `simulate_streaming` through the eager sort-based path, which
-    // must still reproduce the collected report bit for bit.
+    // route the streaming API through the dense oracle. Feasible: reports
+    // come out in part-deadline order, client 2 (t = 2) before client 1
+    // (t = 5). Infeasible: client 2's deadline fires first, but the error
+    // is the oracle's lowest-index one (client 1) and nothing is emitted.
     let tree = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
     let forest = MergeForest::single(tree);
     let times = [0i64, 5, 2];
     assert!(times.windows(2).any(|w| w[0] > w[1]), "premise: unsorted");
-    let events = simulate_with(&forest, &times, 40, SimConfig::events());
-    assert!(events.is_ok());
-    assert_streaming_matches(&forest, &times, 40, None, &events);
+
+    let (summary, emitted) = run_streaming(&forest, &times, 40, None);
+    let order: Vec<usize> = emitted.iter().map(|r| r.client).collect();
+    assert_eq!(order, [0, 2, 1]);
+    let dense = simulate_with(&forest, &times, 40, SimConfig::dense());
+    assert_eq!(
+        summary.unwrap().total_units,
+        dense.as_ref().unwrap().total_units
+    );
+    assert_streaming_matches(&forest, &times, 40, None, &dense);
+
+    let (summary, emitted) = run_streaming(&forest, &times, 40, Some(0));
+    assert!(emitted.is_empty(), "a failed oracle run emits nothing");
+    let err = summary.unwrap_err();
+    assert!(
+        matches!(err, SimError::BufferOverflow { client: 1, .. }),
+        "{err:?}"
+    );
+    let dense_err = simulate_with(
+        &forest,
+        &times,
+        40,
+        SimConfig {
+            buffer_bound: Some(0),
+            ..SimConfig::dense()
+        },
+    )
+    .unwrap_err();
+    assert_eq!(err, dense_err);
 }

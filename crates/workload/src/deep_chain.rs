@@ -6,7 +6,7 @@
 //! **chain** is the opposite extreme: client `k` merges through all `k` of
 //! its predecessors, its receiving program has `k + 1` segments, and any
 //! evaluator that is quadratic in segments blows up — the workload that
-//! motivated the event engine's `O(segments log segments)` endpoint sweep.
+//! motivated the simulator's `O(segments log segments)` endpoint sweep.
 //!
 //! Chains are not just adversarial, they are *feasible*: with consecutive
 //! arrivals, Lemma 1 gives chain node `x` (0-based, chain length `c`) the

@@ -5,9 +5,10 @@
 //! `scale.rs` installs) feeds `sm_core::alloc_counter`'s per-thread
 //! counters, and the tests here pin the engines' allocation discipline:
 //!
-//! * **events** — one cold streaming run allocates only the engine's
-//!   reusable storage (the `EngineScratch` program/sweep buffers, the
-//!   pooled tree arenas and spec vectors, and the bandwidth profile's
+//! * **events** — one cold batch streaming run (which replays through the
+//!   incremental engine) allocates only the engine's reusable storage (the
+//!   `EngineScratch` program/sweep buffers, the pooled tree arenas, times
+//!   and spec vectors, the bandwidth queues, and the bandwidth profile's
 //!   change-point log), each growing by amortized doubling. The total is
 //!   `O(log n)`, so it fits a fixed [`EVENTS_SETUP_BUDGET`] and — the
 //!   sharper claim — barely moves when `n` quadruples.
@@ -55,9 +56,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const MEDIA: u64 = 100;
 
-/// Setup budget for one cold `simulate_streaming_slice` run: the schedule
-/// stream, scratch buffers, tree-storage pool, sweep heap, and bandwidth
-/// log together allocate a few dozen times (amortized doublings included).
+/// Setup budget for one cold `simulate_streaming_slice` run: the scratch
+/// buffers, tree-storage pool, bandwidth start queue and end heap, and
+/// bandwidth log together allocate a few dozen times (amortized doublings
+/// included).
 /// The budget leaves generous headroom; the scaling assertion below is the
 /// load-bearing one.
 const EVENTS_SETUP_BUDGET: u64 = 512;

@@ -100,7 +100,6 @@ fn readme_example_tour_names_real_examples() {
 fn architecture_documents_the_runtime_pieces() {
     let arch = read("ARCHITECTURE.md");
     for piece in [
-        "engine::events",
         "engine::dense",
         "engine::incremental",
         "ScheduleStream",
@@ -108,9 +107,7 @@ fn architecture_documents_the_runtime_pieces() {
         "simulate_incremental",
         "IncrementalEngine",
         "sm-serve",
-        "ServeConfig",
         "ServeReport",
-        "serve_with",
         "serve_multi",
         "MultiServeConfig",
         "TitleConfig",
