@@ -51,7 +51,7 @@
 //! workspace's only sanctioned `unsafe`, shared with
 //! `tests/alloc_budget.rs`): each case's dedicated run records
 //! `allocations_per_arrival` — heap allocations observed on the driving
-//! thread during the run, divided by arrivals and floored. The arena-backed
+//! thread during the run, divided by arrivals and floored. The
 //! incremental engine behind the events/incremental cases is
 //! allocation-free in steady state, so its O(log n) warm-up allocations
 //! floor to **0**; CI gates on exactly that.
@@ -145,7 +145,7 @@ struct CaseResult {
     /// incremental engine's memory gauge, 0 for every other spine.
     max_open_trees: usize,
     /// Heap allocations observed on the driving thread during the measured
-    /// run, divided by `arrivals` and floored. The arena-backed
+    /// run, divided by `arrivals` and floored. The
     /// events/incremental engines allocate only O(log n) warm-up storage,
     /// so this is 0 for them (CI-gated); the dynamic-server spines report
     /// their genuine per-epoch allocation traffic.

@@ -43,9 +43,6 @@ pub enum ModelError {
     TooManyConcurrentStreams { time: i64, count: usize },
     /// Forests must tile the arrival sequence left to right.
     ForestNotContiguous { tree: usize },
-    /// A tree outgrew the `u32` index space of the arena representation
-    /// (one label is reserved as the "no node" sentinel).
-    NodeLimitExceeded { nodes: usize },
 }
 
 impl fmt::Display for ModelError {
@@ -105,10 +102,6 @@ impl fmt::Display for ModelError {
             Self::ForestNotContiguous { tree } => write!(
                 f,
                 "forest tree {tree} does not start where the previous tree ended"
-            ),
-            Self::NodeLimitExceeded { nodes } => write!(
-                f,
-                "tree of {nodes} arrivals exceeds the arena's u32 index space"
             ),
         }
     }

@@ -32,7 +32,6 @@
 //! (exact, slotted) and `f64` (continuous).
 
 pub mod alloc_counter;
-pub mod arena;
 pub mod buffer;
 pub mod cost;
 pub mod diagram;
@@ -46,7 +45,6 @@ pub mod time;
 pub mod tree;
 pub mod validate;
 
-pub use arena::TreeArena;
 pub use buffer::{buffer_profile, required_buffer};
 pub use cost::{full_cost, lengths, merge_cost, receive_all_lengths, receive_all_merge_cost};
 pub use error::ModelError;

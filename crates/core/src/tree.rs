@@ -238,7 +238,11 @@ impl MergeTree {
     ///
     /// The new node carries the largest label, so it becomes `z(x)` for
     /// every ancestor `x` — exactly the update the incremental engines
-    /// lean on when they extend tentative stream lengths.
+    /// lean on when they extend tentative stream lengths. That holds for
+    /// any earlier `parent`. The preorder-traversal property, however, is
+    /// kept only when `parent` lies on the latest arrival's root path:
+    /// anywhere else, preorder visits the new, largest label before the
+    /// latest arrival, and [`Self::has_preorder_property`] turns false.
     pub fn push_arrival(&mut self, parent: usize) -> Result<usize, ModelError> {
         let node = self.len();
         if parent >= node {
@@ -429,6 +433,17 @@ mod tests {
         for i in 1..parents.len() {
             grown.push_arrival(parents[i].unwrap()).unwrap();
             assert_eq!(grown, MergeTree::from_parents(&parents[..=i]).unwrap());
+            assert!(grown.has_preorder_property());
+        }
+        // Node 3 is off the latest arrival's (7's) root path 0-5-7: the
+        // push breaks preorder, but every last descendant stays exact.
+        grown.push_arrival(3).unwrap();
+        assert!(!grown.has_preorder_property());
+        let mut batch = parents.clone();
+        batch.push(Some(3));
+        assert_eq!(grown, MergeTree::from_parents(&batch).unwrap());
+        for (x, z) in [(0, 8), (3, 8), (4, 4), (5, 7)] {
+            assert_eq!(grown.last_descendant(x), z, "z({x})");
         }
     }
 

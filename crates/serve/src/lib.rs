@@ -38,17 +38,20 @@
 //! 1. **Zero rejections.** Every generated arrival is served;
 //!    [`MultiServeReport::rejected`] is structurally zero and kept in the
 //!    report as the observable form of the invariant.
-//! 2. **Budget safety.** With [`MultiServeConfig::budget`] set to `b`, at
-//!    most `b` full-length
-//!    streams are live at any instant, across *all* titles. The planner
-//!    tracks one min-heap of **license chains** — disjoint timelines of
-//!    full streams scheduled back to back. A new full stream either
-//!    claims a free chain slot or extends the chain that frees earliest
-//!    (its start is delayed to that chain's end), so chains never
-//!    overlap internally and their count never exceeds `b`; live full
-//!    streams ≤ chains ≤ `b`. As under the prior gauge, truncated merge
-//!    streams ride the margin: the budget prices full-length streams,
-//!    the dominating cost.
+//! 2. **Budget safety.** With [`MultiServeConfig::budget`] set to `b`,
+//!    the planner tracks one min-heap of **license chains** — disjoint
+//!    timelines of full streams scheduled back to back. A new full
+//!    stream either claims a free chain slot or extends the chain that
+//!    frees earliest (its start is delayed to that chain's end), so
+//!    chains never overlap internally and there are never more than `b`
+//!    of them. For a one-title catalog this bounds live full-length
+//!    streams by `b` at every instant. Across titles it does not: a
+//!    group that the policy merges drops the chain it popped while that
+//!    chain's stream may still be live, and another title can then open
+//!    a full stream beside it: three titles of `L = 10/1000/50` at
+//!    budget 2 can put four full streams on the air at once. As under
+//!    the prior gauge, truncated merge streams ride the margin: the
+//!    budget prices full-length streams, the dominating cost.
 //! 3. **Delay before policy.** The service slot is planned *before* the
 //!    title's merge policy decides root-or-merge, so an arrival is
 //!    delayed exactly when the old loop would have declined it — the

@@ -15,12 +15,21 @@
 //! `a` first drops chains that ended by `a`; if the budget is saturated
 //! it pops the chain that frees earliest and schedules the group at
 //! `s = max(a, chain end)`, extending that chain; otherwise `s = a`.
-//! Chains never overlap internally, so live full streams never exceed
-//! the chain count, which never exceeds the budget. The plan happens
-//! *before* the title's policy decides root-or-merge — the same
-//! decision boundary at which the retired license gauge declined — so
-//! a merge verdict simply ends the popped chain early (safe: its end is
-//! at most `s`, below every future arrival slot that opens a group).
+//! Chains never overlap internally and never number more than the
+//! budget. The plan happens *before* the title's policy decides
+//! root-or-merge — the same decision boundary at which the retired
+//! license gauge declined — and a merge verdict drops the popped chain.
+//!
+//! Dropping it is safe within one title: the chain ends by `s`, and the
+//! title's next group arrives after `s` (earlier arrivals join the
+//! pending group), so none of its later streams overlaps the dropped
+//! one. A one-title catalog therefore never has more than `b` live
+//! full streams (pinned by the `budget` property test below). Across
+//! titles it is not safe: another title can plan a group before the
+//! dropped chain's stream ends, find a free chain and start a full
+//! stream at once. With `L = 10/1000/50` at budget 2, four full
+//! streams can go live together. What holds for every catalog is the
+//! chain bound: at most `b` license chains.
 //!
 //! # Batching
 //!
@@ -618,6 +627,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn titles3() -> Vec<TitleConfig> {
         vec![
@@ -859,6 +869,49 @@ mod tests {
                 assert!(report.latency.max_ns > 0, "horizon {horizon}: {report:?}");
             } else {
                 assert_eq!(report.latency, LatencyStats::default());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Drives the planner through the one-title batching rule (an
+        /// arrival at or before the pending service slot joins, any later
+        /// one is planned) with drawn root/merge verdicts, and checks
+        /// every committed full stream `[s, s + L)` against the budget.
+        #[test]
+        fn planner_budget_bounds_live_full_streams_of_one_title(
+            budget in 1usize..=8,
+            media in 1i64..=200,
+            steps in proptest::collection::vec((0i64..12, 0u8..2), 1..300),
+        ) {
+            let mut planner = DelayPlanner::new(Some(budget));
+            let mut free = DelayPlanner::new(None);
+            let mut starts = Vec::new();
+            let mut pending: Option<i64> = None;
+            let mut slot = 0i64;
+            for (gap, verdict) in steps {
+                slot += gap;
+                if pending.is_some_and(|p| slot <= p) {
+                    continue;
+                }
+                prop_assert_eq!(free.plan(slot), slot);
+                let s = planner.plan(slot);
+                prop_assert!(s >= slot, "planned {} before arrival {}", s, slot);
+                // A title's first group always opens a tree.
+                if pending.is_none() || verdict == 0 {
+                    planner.commit(s + media);
+                    free.commit(s + media);
+                    starts.push(s);
+                }
+                pending = Some(s);
+            }
+            // The live count only rises at a stream start, so checking
+            // every start checks every slot.
+            for &s in &starts {
+                let live = starts.iter().filter(|&&t| t <= s && s < t + media).count();
+                prop_assert!(live <= budget, "{} full streams live at slot {}", live, s);
             }
         }
     }

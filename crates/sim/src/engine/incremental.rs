@@ -11,17 +11,16 @@
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
 //!   (the model's invariant: merging across closed trees is impossible
-//!   because their streams have already begun). The open tree is a
-//!   [`TreeArena`] (flat `u32` columns, recycled through a storage pool so
-//!   steady-state pushes are allocation-free) grown in place plus a
-//!   vector of *tentative* Lemma-1 stream specs: attaching `y` under `p`
-//!   makes `y` the last descendant of its entire root path, so exactly the
-//!   nodes on that path update, to `ℓ(x) = (t_y − t_x) + (t_y − t_{p(x)})`
-//!   — in the same `O(depth)` walk ([`TreeArena::push_arrival_with`]) that
-//!   updates the arena's last descendants, with no re-derivation from the
+//!   because their streams have already begun). A retained tree is three
+//!   parallel columns — parent, arrival time and *tentative* Lemma-1
+//!   stream length — recycled through a storage pool so steady-state
+//!   pushes are allocation-free. Attaching `y` under `p` makes `y` the
+//!   last descendant of its entire root path, so exactly the nodes on
+//!   that path update, to `ℓ(x) = (t_y − t_x) + (t_y − t_{p(x)})`, in one
+//!   `O(depth)` walk up the parent column with no re-derivation from the
 //!   prefix;
 //! * **deadlines fire during ingest** — a client's report depends only on
-//!   its root-path arrival times and on spec fields that later arrivals
+//!   its root-path arrival times and on stream lengths that later arrivals
 //!   can only *grow* past its demands (`t_z ≥ t_c` for every later
 //!   descendant), so each report is final the moment the client's last
 //!   part-deadline `t_c + L` falls strictly before the ingest clock.
@@ -59,9 +58,10 @@
 //!   candidates × segments.
 //!
 //! All per-client evaluation state lives in one `EngineScratch` reused
-//! across every client of the run. The pointer-based
+//! across every client of the run; a client's receiving program is its
+//! root path, read off the parent column. The pointer-based
 //! `MergeTree`/`ReceivingProgram` stay the validated constructors; the
-//! dense oracle keeps using them directly, so the arena lowering itself is
+//! dense oracle keeps using them directly, so the column form itself is
 //! cross-checked. The `engine_equivalence` proptest suite pins this engine
 //! bit-identical (reports, emission order, summary, first error) to the
 //! dense oracle on every sorted input.
@@ -72,8 +72,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use super::{ClientReport, SimConfig};
 use crate::error::SimError;
 use crate::metrics::{BandwidthProfile, ProfileBuilder};
-use crate::schedule::{checked_media_len, StreamSpec};
-use sm_core::{MergeForest, ModelError, TreeArena};
+use crate::schedule::checked_media_len;
+use sm_core::{MergeForest, ModelError};
 
 /// Where one ingested arrival goes, structurally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,16 +176,19 @@ pub struct IncrementalSummary {
 /// wait only for their clients' last part-deadlines. Served-out trees go
 /// back to the engine's pool, and later opens reuse their storage instead
 /// of allocating.
+///
+/// Node `i` is global arrival `base + i`; its stream starts at `times[i]`.
 #[derive(Debug, Default)]
 struct Tree {
     /// Global index of the root.
     base: usize,
-    arena: TreeArena,
+    /// Local parent of each node; entry 0 (the root's) is unused.
+    parent: Vec<usize>,
     times: Vec<i64>,
-    /// Lemma-1 specs: final once the tree is closed; while it is open,
-    /// tentative — exact for the tree as grown so far, and only root-path
-    /// entries of future arrivals can still grow.
-    specs: Vec<StreamSpec>,
+    /// Lemma-1 stream lengths: final once the tree is closed; while it is
+    /// open, tentative — exact for the tree as grown so far, and only
+    /// root-path entries of future arrivals can still grow.
+    lengths: Vec<i64>,
 }
 
 impl Tree {
@@ -193,15 +196,12 @@ impl Tree {
     /// index `base` and a full-length stream.
     fn reset(&mut self, base: usize, time: i64, media: i64) {
         self.base = base;
-        self.arena.reset_singleton();
+        self.parent.clear();
+        self.parent.push(0);
         self.times.clear();
         self.times.push(time);
-        self.specs.clear();
-        self.specs.push(StreamSpec {
-            node: base,
-            start: time,
-            length: media,
-        });
+        self.lengths.clear();
+        self.lengths.push(media);
     }
 
     /// One past the global index of the tree's last arrival.
@@ -209,27 +209,23 @@ impl Tree {
         self.base + self.times.len()
     }
 
-    /// Attaches an arrival at `time` under local node `parent`, updating
-    /// the tentative lengths of exactly the new node's root path in the
-    /// arena's own last-descendant walk: the new node becomes the last
-    /// descendant of every proper ancestor `a`, so each non-root `a` gets
+    /// Attaches an arrival at `time` under local node `parent` (which must
+    /// be in the tree), updating the tentative lengths of exactly the new
+    /// node's root path: the new node becomes the last descendant of every
+    /// proper ancestor `a`, so each non-root `a` gets
     /// `ℓ(a) = (t_y − t_a) + (t_y − t_{p(a)})`; the root keeps the full
     /// media length.
-    fn attach(&mut self, time: i64, parent: usize) -> Result<(), ModelError> {
-        let (times, specs) = (&self.times, &mut self.specs);
-        let x = self.arena.push_arrival_with(parent, |a, up| {
-            if let Some(p) = up {
-                specs[a].length = (time - times[a]) + (time - times[p]);
-            }
-        })?;
-        self.times.push(time);
+    fn attach(&mut self, time: i64, parent: usize) {
+        let mut a = parent;
+        while a != 0 {
+            let up = self.parent[a];
+            self.lengths[a] = (time - self.times[a]) + (time - self.times[up]);
+            a = up;
+        }
         // The new node is its own last descendant: ℓ = t_y − t_p.
-        self.specs.push(StreamSpec {
-            node: self.base + x,
-            start: time,
-            length: time - self.times[parent],
-        });
-        Ok(())
+        self.lengths.push(time - self.times[parent]);
+        self.parent.push(parent);
+        self.times.push(time);
     }
 }
 
@@ -349,8 +345,7 @@ impl IncrementalEngine {
                     .checked_sub(open.base)
                     .filter(|&l| l < open.times.len())
                     .ok_or(not_open)?;
-                open.attach(time, local)
-                    .map_err(|e| IngestError::Sim(SimError::Model(e)))?;
+                open.attach(time, local);
             }
         }
         self.n += 1;
@@ -400,15 +395,12 @@ impl IncrementalEngine {
             if before.is_some_and(|h| tree.times[local] + self.media >= h) {
                 return Ok(());
             }
-            // Tentative specs are safe for open-tree clients: every spec a
-            // client reads can only grow past demands fixed at its arrival.
+            // Tentative lengths are safe for open-tree clients: every length
+            // a client reads can only grow past demands fixed at its arrival.
             emit(eval_client(
-                &tree.arena,
-                &tree.times,
-                &tree.specs,
-                self.media_len,
-                tree.base,
+                tree,
                 local,
+                self.media_len,
                 self.config,
                 &mut self.scratch,
             )?);
@@ -422,7 +414,7 @@ impl IncrementalEngine {
         Ok(())
     }
 
-    /// Closes the open tree (if any): its specs are now final, so its
+    /// Closes the open tree (if any): its lengths are now final, so its
     /// streams enter the bandwidth queues and its units the total; it is
     /// retained only if unserved clients remain. Then drains every
     /// bandwidth event strictly below `horizon` (all of them for `None`) —
@@ -430,12 +422,12 @@ impl IncrementalEngine {
     /// the closing root's arrival time.
     fn close_open(&mut self, horizon: Option<i64>) {
         if let Some(open) = self.open.take() {
-            for s in &open.specs {
-                if s.length > 0 {
-                    self.starts.push_back(s.start);
-                    self.ends.push(Reverse(s.end()));
+            for (&start, &length) in open.times.iter().zip(&open.lengths) {
+                if length > 0 {
+                    self.starts.push_back(start);
+                    self.ends.push(Reverse(start + length));
                 }
-                self.total_units += s.length;
+                self.total_units += length;
             }
             if self.ci < open.end() {
                 self.closed.push_back(open);
@@ -508,7 +500,7 @@ pub fn simulate_incremental<F: FnMut(ClientReport)>(
 /// Reusable per-client evaluation buffers: one allocation set for a whole
 /// run instead of one per client. The receiving program is held in
 /// struct-of-arrays form (`seg_stream`/`seg_first`/`seg_last` parallel
-/// columns) — the arena counterpart of `ReceivingProgram`, rebuilt in
+/// columns) — the column counterpart of `ReceivingProgram`, rebuilt in
 /// place with identical output and identical `verify` semantics. Shared
 /// across every client of an [`IncrementalEngine`] run.
 #[derive(Debug, Default)]
@@ -537,13 +529,20 @@ impl EngineScratch {
     /// have capacity.
     fn rebuild_and_verify_program(
         &mut self,
-        arena: &TreeArena,
+        parent: &[usize],
         times: &[i64],
         media: i64,
         client: usize,
     ) -> Result<(), ModelError> {
-        debug_assert_eq!(times.len(), arena.len());
-        arena.path_from_root_into(client, &mut self.path);
+        debug_assert_eq!(times.len(), parent.len());
+        self.path.clear();
+        let mut cur = client;
+        self.path.push(cur);
+        while cur != 0 {
+            cur = parent[cur];
+            self.path.push(cur);
+        }
+        self.path.reverse();
         let path = &self.path;
         let k = path.len() - 1;
         let tk = times[path[k]];
@@ -690,23 +689,19 @@ fn endpoint_sweep(scratch: &EngineScratch, t_c: i64, media: i64) -> SweepOutcome
 /// Checks one client's program against its tree's schedule and measures it,
 /// in `O(segments log segments)` arithmetic — no per-slot state, no
 /// allocation (everything lives in `scratch`).
-#[allow(clippy::too_many_arguments)] // tree-local slices + scratch, all hot
 fn eval_client(
-    arena: &TreeArena,
-    local_times: &[i64],
-    local_specs: &[StreamSpec],
-    media_len: u64,
-    base: usize,
+    tree: &Tree,
     local: usize,
+    media_len: u64,
     config: SimConfig,
     scratch: &mut EngineScratch,
 ) -> Result<ClientReport, SimError> {
     let media = media_len as i64;
-    let t_c = local_times[local];
-    let global = base + local;
+    let t_c = tree.times[local];
+    let global = tree.base + local;
 
     scratch
-        .rebuild_and_verify_program(arena, local_times, media, local)
+        .rebuild_and_verify_program(&tree.parent, &tree.times, media, local)
         .map_err(SimError::Model)?;
 
     // Per-segment closed forms, pushing each non-empty segment's inclusive
@@ -720,39 +715,39 @@ fn eval_client(
             continue;
         }
         let stream = scratch.seg_stream[s];
-        let spec = &local_specs[stream];
+        let (start, length) = (tree.times[stream], tree.lengths[stream]);
         // Mirrors the dense per-part loop's error precedence: for each part
         // in order, "stream too short" is checked before "stall", so the
         // first failing part decides the variant.
-        if first > spec.length {
+        if first > length {
             return Err(SimError::StreamTooShort {
                 client: global,
-                stream: base + stream,
+                stream: tree.base + stream,
                 part: first,
-                length: spec.length,
+                length,
             });
         }
-        if spec.start > t_c {
+        if start > t_c {
             return Err(SimError::Stall {
                 client: global,
                 part: first,
-                received: spec.start + first - 1,
+                received: start + first - 1,
                 deadline: t_c + first - 1,
             });
         }
-        if last > spec.length {
+        if last > length {
             return Err(SimError::StreamTooShort {
                 client: global,
-                stream: base + stream,
-                part: spec.length + 1,
-                length: spec.length,
+                stream: tree.base + stream,
+                part: length + 1,
+                length,
             });
         }
         // Part q arrives at the end of slot t_j + q − 1 and plays in slot
         // t_c + q − 1: slack is t_c − t_j for every part of the segment.
-        min_slack = min_slack.min(t_c - spec.start);
-        scratch.starts.push(spec.start + first - 1);
-        scratch.ends.push(spec.start + last);
+        min_slack = min_slack.min(t_c - start);
+        scratch.starts.push(start + first - 1);
+        scratch.ends.push(start + last);
     }
     scratch.sort_endpoints();
 
@@ -1092,11 +1087,11 @@ mod tests {
         ])
         .unwrap();
         let times = consecutive_slots(8);
-        let arena = TreeArena::lower(&tree).unwrap();
+        let parent: Vec<usize> = tree.to_parents().iter().map(|p| p.unwrap_or(0)).collect();
         let mut scratch = EngineScratch::default();
         for client in 0..tree.len() {
             let prog = ReceivingProgram::build(&tree, &times, 15, client);
-            let verdict = scratch.rebuild_and_verify_program(&arena, &times, 15, client);
+            let verdict = scratch.rebuild_and_verify_program(&parent, &times, 15, client);
             assert_eq!(verdict, prog.verify(&times, 15), "client {client}");
             assert_eq!(scratch.path, prog.path, "client {client}");
             let soa: Vec<(usize, i64, i64)> = (0..scratch.seg_stream.len())

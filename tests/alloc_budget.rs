@@ -1,5 +1,5 @@
 #![allow(unsafe_code)] // counting #[global_allocator]: raw-pointer plumbing by design
-//! Allocation-budget harness for the arena-backed engines.
+//! Allocation-budget harness for the column-backed engines.
 //!
 //! A counting `#[global_allocator]` (the same wrapper `sm-bench`'s
 //! `scale.rs` installs) feeds `sm_core::alloc_counter`'s per-thread
@@ -7,8 +7,8 @@
 //!
 //! * **events** — one cold batch streaming run (which replays through the
 //!   incremental engine) allocates only the engine's reusable storage (the
-//!   `EngineScratch` program/sweep buffers, the pooled tree arenas, times
-//!   and spec vectors, the bandwidth queues, and the bandwidth profile's
+//!   `EngineScratch` program/sweep buffers, the pooled trees' parent, time
+//!   and length columns, the bandwidth queues, and the bandwidth profile's
 //!   change-point log), each growing by amortized doubling. The total is
 //!   `O(log n)`, so it fits a fixed [`EVENTS_SETUP_BUDGET`] and — the
 //!   sharper claim — barely moves when `n` quadruples.
@@ -129,7 +129,7 @@ fn incremental_push_steady_state_is_allocation_free() {
     const TOTAL: usize = 20_000;
     const WARMUP: usize = 2_000;
     // Deep chains recycle tree storage constantly: every tree the cursor
-    // drains returns its arena to the pool for the next chain to reuse.
+    // drains returns its columns to the pool for the next chain to reuse.
     let (forest, times) = deep_chain_forest(TOTAL, MEDIA);
     let mut attaches = Vec::with_capacity(times.len());
     let mut base = 0usize;

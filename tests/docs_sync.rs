@@ -465,7 +465,7 @@ fn committed_bench_trajectory_is_ten_million_arrivals_and_allocation_free() {
             .unwrap_or_else(|| panic!("BENCH_scale.json must carry the {needle} datapoint"))
     };
     let dg = by_name("events_dg");
-    // The arena-engine acceptance bar: the full-size Delay Guaranteed grid
+    // The engine hot path's acceptance bar: the full-size Delay Guaranteed grid
     // is 10^7 arrivals and finishes within 1.5 s on the committed run.
     assert!(
         json_number(dg, "arrivals") >= 10_000_000.0,
