@@ -184,7 +184,7 @@ fn timed_case(
             engine: "events",
             arrivals: times.len(),
             wall_ms,
-            peak_streams: summary.bandwidth.peak(),
+            peak_streams: summary.peak_streams,
             total_units: summary.total_units,
             memo_hits: 0,
             max_open_trees: 0,
@@ -336,7 +336,7 @@ fn bench_scale(c: &mut Criterion) {
         engine: "incremental",
         arrivals: n,
         wall_ms: inc_ms,
-        peak_streams: inc.summary.bandwidth.peak(),
+        peak_streams: inc.summary.peak_streams,
         total_units: inc.summary.total_units,
         memo_hits: 0,
         max_open_trees: inc.max_open_trees,
@@ -435,7 +435,7 @@ fn bench_scale(c: &mut Criterion) {
             )
             .expect("batched flash-crowd plan must execute");
             assert_eq!(served, clients);
-            black_box(summary.bandwidth.peak())
+            black_box(summary.peak_streams)
         })
     });
     // Multi-title delay-planning serve loop: a three-title Poisson catalog
@@ -498,7 +498,7 @@ fn bench_scale(c: &mut Criterion) {
         peak_streams: multi
             .titles
             .iter()
-            .map(|t| t.summary.summary.bandwidth.peak())
+            .map(|t| t.summary.summary.peak_streams)
             .sum(),
         total_units: multi
             .titles

@@ -385,7 +385,8 @@ mod tests {
         let summary = &report.titles[0].summary.summary;
         assert_eq!(summary.clients, report.served);
         assert_eq!(report.delay, DelayStats::default());
-        assert_eq!(summary.bandwidth.total_units(), summary.total_units);
+        assert!(summary.peak_streams >= 1, "served traffic transmits");
+        assert!(i64::from(summary.peak_streams) <= summary.total_units);
         let l = report.latency;
         assert!(l.p50_ns <= l.p90_ns && l.p90_ns <= l.p99_ns && l.p99_ns <= l.max_ns);
         assert!(l.max_ns > 0, "pushes take measurable time");

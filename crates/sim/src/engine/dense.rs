@@ -5,23 +5,21 @@
 //! memory per client, which is fine for the paper-scale figures and makes
 //! it the easy-to-audit oracle the incremental engine is pinned against.
 
-use super::{ClientReport, SimConfig, SimReport};
+use super::{ClientReport, SimConfig};
 use crate::error::SimError;
-use crate::metrics::BandwidthProfile;
-use crate::schedule::{stream_schedule, StreamSpec};
+use crate::schedule::StreamSpec;
 use sm_core::{MergeForest, ReceivingProgram};
 
-/// Runs the dense engine. Inputs are pre-validated by `simulate_with`.
+/// Runs the dense engine over the forest's broadcast schedule `specs`,
+/// returning the reports in arrival-index order. Inputs are pre-validated
+/// by `simulate_with`.
 pub(super) fn run(
     forest: &MergeForest,
     times: &[i64],
+    specs: &[StreamSpec],
     media_len: u64,
     config: SimConfig,
-) -> Result<SimReport, SimError> {
-    let specs = stream_schedule(forest, times, media_len)?;
-    let bandwidth = BandwidthProfile::from_streams(&specs);
-    let total_units: i64 = specs.iter().map(|s| s.length).sum();
-
+) -> Result<Vec<ClientReport>, SimError> {
     let mut clients = Vec::with_capacity(times.len());
     for (range, tree) in forest.iter_with_ranges() {
         let base = range.start;
@@ -32,11 +30,7 @@ pub(super) fn run(
             clients.push(report);
         }
     }
-    Ok(SimReport {
-        bandwidth,
-        total_units,
-        clients,
-    })
+    Ok(clients)
 }
 
 fn run_client(

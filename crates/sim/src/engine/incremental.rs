@@ -27,15 +27,15 @@
 //!   Reports stream out through `emit` in deadline order (ties by arrival
 //!   index), with exactly the values and first error of the
 //!   [`dense`](super::dense) oracle;
-//! * **bandwidth change-points finalize at tree closure** — a stream's end
-//!   moves later while descendants can still attach (a tied co-arrival
+//! * **the bandwidth running peak finalizes at tree closure** — a stream's
+//!   end moves later while descendants can still attach (a tied co-arrival
 //!   even gains its start retroactively), so a tree hands its streams to
 //!   the bandwidth meter only when a new root closes it. Starts are
 //!   arrival times, already sorted, so they queue in a FIFO; only ends
 //!   need a min-heap. All future events lie at or past the closing root's
-//!   arrival, so both drain strictly below it into one sparse
-//!   `ProfileBuilder` sweep. Queue, heap and retention are
-//!   `O(open trees + active streams)`, never `O(arrivals)`;
+//!   arrival, so both drain strictly below it, each instant netted into
+//!   the live count and folded into a running peak. Queue, heap and
+//!   retention are `O(open trees + active streams)`, never `O(arrivals)`;
 //! * **time travel is rejected, interleaving is not** — `push` accepts any
 //!   nondecreasing time sequence (ties included) and fails fast with
 //!   [`IngestError::OutOfOrder`] otherwise, leaving the engine untouched.
@@ -71,7 +71,6 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use super::{ClientReport, SimConfig};
 use crate::error::SimError;
-use crate::metrics::{BandwidthProfile, ProfileBuilder};
 use crate::schedule::checked_media_len;
 use sm_core::{MergeForest, ModelError};
 
@@ -147,12 +146,15 @@ impl From<IngestError> for SimError {
     }
 }
 
-/// Whole-run aggregates of a streaming simulation (everything a
-/// [`SimReport`](super::SimReport) holds except the per-client vector).
+/// Whole-run aggregates of a streaming simulation: the peak and total of
+/// a [`SimReport`](super::SimReport)'s bandwidth profile, and its client
+/// count. A long-running server keeps only these, so its memory does not
+/// grow with the arrivals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamingSummary {
-    /// Server bandwidth at its change-points.
-    pub bandwidth: BandwidthProfile,
+    /// Peak concurrent streams (the bandwidth profile's
+    /// [`peak`](crate::BandwidthProfile::peak)).
+    pub peak_streams: u32,
     /// Total transmitted slot-units (`= Fcost`).
     pub total_units: i64,
     /// Number of clients served (and emitted).
@@ -261,8 +263,10 @@ pub struct IncrementalEngine {
     /// End slots of the same streams, as a min-heap (an end always lies
     /// past its own start, so it never drains first).
     ends: BinaryHeap<Reverse<i64>>,
+    /// Streams live at the latest drained instant.
     active: u32,
-    profile: ProfileBuilder,
+    /// High-water mark of `active`.
+    peak: u32,
     total_units: i64,
     max_open_trees: usize,
     scratch: EngineScratch,
@@ -287,7 +291,7 @@ impl IncrementalEngine {
             starts: VecDeque::new(),
             ends: BinaryHeap::new(),
             active: 0,
-            profile: ProfileBuilder::new(),
+            peak: 0,
             total_units: 0,
             max_open_trees: 0,
             scratch: EngineScratch::default(),
@@ -364,7 +368,7 @@ impl IncrementalEngine {
         self.close_open(None);
         Ok(IncrementalSummary {
             summary: StreamingSummary {
-                bandwidth: self.profile.finish(),
+                peak_streams: self.peak,
                 total_units: self.total_units,
                 clients: self.n,
             },
@@ -445,8 +449,8 @@ impl IncrementalEngine {
             if horizon.is_some_and(|h| t >= h) {
                 break;
             }
-            // Net the whole instant, ends before starts, then record once:
-            // a back-to-back handoff is no change.
+            // Net the whole instant, ends before starts, then take the
+            // peak once: a back-to-back handoff is no change.
             while self.ends.peek().is_some_and(|&Reverse(e)| e == t) {
                 self.ends.pop();
                 self.active -= 1;
@@ -455,7 +459,7 @@ impl IncrementalEngine {
                 self.starts.pop_front();
                 self.active += 1;
             }
-            self.profile.record(t, self.active);
+            self.peak = self.peak.max(self.active);
         }
     }
 }
@@ -787,6 +791,7 @@ fn eval_client(
 mod tests {
     use super::super::simulate_with;
     use super::*;
+    use crate::metrics::BandwidthProfile;
     use sm_core::{consecutive_slots, MergeTree, ReceivingProgram};
 
     fn fig4_forest() -> MergeForest {
@@ -815,7 +820,7 @@ mod tests {
         });
         match (expected, got) {
             (Ok(report), Ok(isummary)) => {
-                assert_eq!(isummary.summary.bandwidth, report.bandwidth);
+                assert_eq!(isummary.summary.peak_streams, report.bandwidth.peak());
                 assert_eq!(isummary.summary.total_units, report.total_units);
                 assert_eq!(isummary.summary.clients, report.clients.len());
                 assert_eq!(inc, report.clients, "reports and emission order must pin");
@@ -935,12 +940,24 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_handoff_keeps_the_peak_at_one() {
+        // Root 0's stream ends in slot 5, the slot where root 1's starts:
+        // the instant nets to one live stream, so the peak is 1, not 2.
+        let mut eng = IncrementalEngine::new(5, SimConfig::default()).unwrap();
+        eng.push(0, Attach::Root, |_| {}).unwrap();
+        eng.push(5, Attach::Root, |_| {}).unwrap();
+        let summary = eng.finish(|_| {}).unwrap().summary;
+        assert_eq!(summary.peak_streams, 1);
+        assert_eq!(summary.total_units, 10);
+    }
+
+    #[test]
     fn empty_run_matches_the_empty_batch() {
         let eng = IncrementalEngine::new(9, SimConfig::default()).unwrap();
         let summary = eng.finish(|_| {}).unwrap();
         assert_eq!(summary.summary.clients, 0);
         assert_eq!(summary.summary.total_units, 0);
-        assert!(summary.summary.bandwidth.is_empty());
+        assert_eq!(summary.summary.peak_streams, 0);
         assert_eq!(summary.max_open_trees, 0);
     }
 

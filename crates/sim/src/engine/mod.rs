@@ -27,7 +27,7 @@ pub mod incremental;
 
 use crate::error::SimError;
 use crate::metrics::BandwidthProfile;
-use crate::schedule::checked_media_len;
+use crate::schedule::{checked_media_len, stream_schedule};
 use sm_core::MergeForest;
 
 pub use incremental::{
@@ -90,7 +90,8 @@ pub struct ClientReport {
 /// Whole-run measurements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
-    /// Server bandwidth at its change-points (sparse).
+    /// Server bandwidth at its change-points (sparse), swept from the
+    /// forest's broadcast schedule.
     pub bandwidth: BandwidthProfile,
     /// Total transmitted slot-units (must equal the analytic `Fcost`).
     pub total_units: i64,
@@ -130,16 +131,20 @@ pub fn simulate_with(
         }));
     }
     checked_media_len(media_len)?;
-    if config.engine == Engine::Dense || !times.is_sorted() {
-        return dense::run(forest, times, media_len, config);
-    }
-    // Sorted times: deadline order is index order, so the emitted reports
-    // arrive already in report order.
-    let mut clients = Vec::with_capacity(times.len());
-    let summary = replay_sorted(forest, times, media_len, config, |r| clients.push(r))?;
+    let specs = stream_schedule(forest, times, media_len)?;
+    let (total_units, clients) = if config.engine == Engine::Dense || !times.is_sorted() {
+        let clients = dense::run(forest, times, &specs, media_len, config)?;
+        (specs.iter().map(|s| s.length).sum(), clients)
+    } else {
+        // Sorted times: deadline order is index order, so the emitted
+        // reports arrive already in report order.
+        let mut clients = Vec::with_capacity(times.len());
+        let summary = replay_sorted(forest, times, media_len, config, |r| clients.push(r))?;
+        (summary.total_units, clients)
+    };
     Ok(SimReport {
-        bandwidth: summary.bandwidth,
-        total_units: summary.total_units,
+        bandwidth: BandwidthProfile::from_streams(&specs),
+        total_units,
         clients,
     })
 }
@@ -232,7 +237,7 @@ pub fn simulate_streaming_slice<F: FnMut(ClientReport)>(
     clients.sort_by_key(|r| times[r.client]);
     clients.into_iter().for_each(&mut emit);
     Ok(StreamingSummary {
-        bandwidth: report.bandwidth,
+        peak_streams: report.bandwidth.peak(),
         total_units: report.total_units,
         clients: times.len(),
     })
@@ -478,7 +483,7 @@ mod tests {
         .unwrap();
         assert_eq!(served, n);
         assert_eq!(summary.total_units, n as i64 * media as i64);
-        assert_eq!(summary.bandwidth.peak(), 1);
+        assert_eq!(summary.peak_streams, 1);
     }
 
     #[test]

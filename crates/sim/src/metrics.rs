@@ -5,9 +5,11 @@
 //! ends, so a profile over `span` slots carrying `m` streams has at most
 //! `2m` distinct values. [`BandwidthProfile`] therefore stores only the
 //! change-points `(slot, count)` instead of one counter per slot — memory is
-//! `O(streams)`, independent of the schedule span, which is what lets the
-//! incremental engine meter million-arrival horizons without materializing
-//! them.
+//! `O(streams)`, independent of the schedule span. It is the batch view:
+//! [`SimReport`](crate::SimReport) carries one for `average()`, `window()`
+//! and the capacity planners, while the serving engine keeps only the
+//! running peak and total ([`StreamingSummary`](crate::StreamingSummary)),
+//! so its memory does not grow with the arrivals.
 
 use crate::schedule::StreamSpec;
 
@@ -143,38 +145,6 @@ impl BandwidthProfile {
     }
 }
 
-/// Incremental builder used by the incremental engine: feed `(slot, count)`
-/// observations in nondecreasing slot order; only actual changes are stored,
-/// so the result is identical to [`BandwidthProfile::from_intervals`] over
-/// the same stream intervals.
-#[derive(Debug, Default)]
-pub(crate) struct ProfileBuilder {
-    changes: Vec<(i64, u32)>,
-    cur: u32,
-}
-
-impl ProfileBuilder {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that `count` streams are live from `slot` on.
-    pub(crate) fn record(&mut self, slot: i64, count: u32) {
-        if count != self.cur {
-            debug_assert!(self.changes.last().is_none_or(|&(s, _)| s < slot));
-            self.changes.push((slot, count));
-            self.cur = count;
-        }
-    }
-
-    pub(crate) fn finish(self) -> BandwidthProfile {
-        debug_assert_eq!(self.cur, 0, "profile must close with all streams ended");
-        BandwidthProfile {
-            changes: self.changes,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,19 +220,5 @@ mod tests {
         let a = BandwidthProfile::from_streams(&specs);
         let b = BandwidthProfile::from_intervals(specs.iter().map(|s| (s.start, s.end())));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn builder_matches_batch_construction() {
-        // Feed the sweep of [0,5), [2,4), [4,7) manually.
-        let mut b = ProfileBuilder::new();
-        b.record(0, 1);
-        b.record(2, 2);
-        b.record(4, 2); // end of one, start of another: no change
-        b.record(5, 1);
-        b.record(7, 0);
-        let built = b.finish();
-        let swept = BandwidthProfile::from_intervals([(0, 5), (2, 4), (4, 7)]);
-        assert_eq!(built, swept);
     }
 }

@@ -1,6 +1,7 @@
 //! Oracle equivalence: the production path must reproduce the dense
-//! slot-stepped oracle *bit for bit* — same totals, same bandwidth
-//! change-points, same per-client `max_buffer`/`max_concurrent`/`min_slack`,
+//! slot-stepped oracle *bit for bit* — the engine's running bandwidth peak
+//! and total against the peak and total of the oracle's schedule-swept
+//! profile, same per-client `max_buffer`/`max_concurrent`/`min_slack`,
 //! and the same first error on infeasible inputs — across randomized
 //! forests, arrival sequences, media lengths, and buffer bounds. On sorted
 //! times every batch entry point replays through the push-based
@@ -83,9 +84,10 @@ fn deadline_order(report: &SimReport, times: &[i64]) -> Vec<ClientReport> {
     clients
 }
 
-/// The streaming API must agree with the collected dense report: same
-/// bandwidth change-points, same totals, same per-client measurements, and
-/// the same first error — with emissions arriving in part-deadline order.
+/// The streaming API must agree with the collected dense report: the peak
+/// and total of the dense oracle's schedule-swept bandwidth profile, same
+/// per-client measurements, and the same first error — with emissions
+/// arriving in part-deadline order.
 fn assert_streaming_matches(
     forest: &MergeForest,
     times: &[i64],
@@ -96,8 +98,8 @@ fn assert_streaming_matches(
     let (summary, emitted) = run_streaming(forest, times, media_len, buffer_bound);
     match (dense, summary) {
         (Ok(report), Ok(summary)) => {
-            assert_eq!(summary.bandwidth, report.bandwidth);
-            assert_eq!(summary.total_units, report.total_units);
+            assert_eq!(summary.peak_streams, report.bandwidth.peak());
+            assert_eq!(summary.total_units, report.bandwidth.total_units());
             assert_eq!(summary.clients, report.clients.len());
             assert_eq!(emitted, deadline_order(report, times), "emission order");
         }
@@ -115,8 +117,9 @@ fn assert_streaming_matches(
 
 /// The push-based incremental engine replayed over the same arrivals must
 /// be bit-identical to the dense report on every *sorted* input (the push
-/// interface's clock contract): same summary, same reports in the same
-/// emission order, same first error.
+/// interface's clock contract): the running peak and total match the dense
+/// oracle's schedule-swept profile, and the reports, their emission order
+/// and the first error are the same.
 fn assert_incremental_matches(
     forest: &MergeForest,
     times: &[i64],
@@ -140,8 +143,8 @@ fn assert_incremental_matches(
     );
     match (dense, got) {
         (Ok(report), Ok(inc)) => {
-            assert_eq!(inc.summary.bandwidth, report.bandwidth);
-            assert_eq!(inc.summary.total_units, report.total_units);
+            assert_eq!(inc.summary.peak_streams, report.bandwidth.peak());
+            assert_eq!(inc.summary.total_units, report.bandwidth.total_units());
             assert_eq!(inc.summary.clients, report.clients.len());
             assert_eq!(emitted, report.clients, "incremental emission order");
             assert!(

@@ -49,16 +49,6 @@ pub fn movie_night() -> Scenario {
     }
 }
 
-/// A stress scenario: very tight delay relative to the media.
-pub fn tight_delay() -> Scenario {
-    Scenario {
-        name: "0.1% delay",
-        media_slots: 1000,
-        horizon_slots: 20_000.0,
-        mean_gap_slots: 0.2,
-    }
-}
-
 /// The flash-crowd scenario: steady background traffic with a premiere
 /// spike one media length into the horizon. Pair the returned scenario with
 /// [`crate::FlashCrowd`] via [`flash_crowd_process`] — the spike multiplies
