@@ -1,13 +1,12 @@
 //! Thread-local allocation counters for allocation-budget test harnesses.
 //!
 //! The workspace forbids `unsafe` in library code, so the actual
-//! `#[global_allocator]` wrapper lives in the test/bench binaries that need
-//! it (`tests/alloc_budget.rs`, `sm-bench`'s `scale.rs`); those wrappers
-//! call [`note_alloc`] from their `alloc`/`realloc` hooks and this module
-//! keeps the counts. Counters are **per thread**, so parallel test binaries
-//! and `sm_core::parallel` worker threads never pollute each other's
-//! measurements — a harness observes exactly the allocations made by the
-//! thread driving the code under test.
+//! `#[global_allocator]` wrapper lives in the test binary that needs it
+//! (`tests/alloc_budget.rs`); that wrapper calls [`note_alloc`] from its
+//! `alloc`/`realloc` hooks and this module keeps the counts. Counters are
+//! **per thread**, so parallel test binaries and `sm_core::parallel` worker
+//! threads never pollute each other's measurements — a harness observes
+//! exactly the allocations made by the thread driving the code under test.
 //!
 //! The counters are `const`-initialised `Cell`s: reading or bumping them
 //! never allocates and never panics, which is mandatory inside a global

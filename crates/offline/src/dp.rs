@@ -7,7 +7,7 @@
 //!
 //! where `h` is the arrival that merges *last* into the root. These routines
 //! exist to certify the closed forms (`closed_form`, `tree_builder`) and to
-//! quantify the paper's `O(n²) → O(n)` improvement in the benches.
+//! quantify the paper's `O(n²) → O(n)` improvement.
 
 use sm_core::MergeTree;
 

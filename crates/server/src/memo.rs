@@ -28,8 +28,8 @@
 //! **bit-identical** to a memo-free one (pinned by proptest in
 //! `crates/server/tests/proptests.rs`); the memo only changes how often the
 //! analyses execute, which the [`hits`](PlannerMemo::hits) /
-//! [`misses`](PlannerMemo::misses) counters make observable (and
-//! `benches/scale.rs` records in `BENCH_scale.json` as `memo_hits`).
+//! [`misses`](PlannerMemo::misses) counters make observable (and a serve
+//! run reports as `MultiServeReport::memo_hits`).
 //!
 //! ```
 //! use sm_server::{plan_weighted_with, Catalog, PlannerMemo};

@@ -11,10 +11,13 @@
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
 //!   (the model's invariant: merging across closed trees is impossible
-//!   because their streams have already begun). A retained tree is three
-//!   parallel columns — parent, arrival time and *tentative* Lemma-1
-//!   stream length — recycled through a storage pool so steady-state
-//!   pushes are allocation-free. Attaching `y` under `p` makes `y` the
+//!   because their streams have already begun). Every retained tree lives
+//!   in one shared set of three columns — parent, arrival time and
+//!   *tentative* Lemma-1 stream length — indexed by global arrival:
+//!   retained trees are consecutive arrival ranges, served-out trees leave
+//!   from the front and the columns compact in place, so steady-state
+//!   pushes are allocation-free and warm-up allocations do not grow with
+//!   the number of retained trees. Attaching `y` under `p` makes `y` the
 //!   last descendant of its entire root path, so exactly the nodes on
 //!   that path update, to `ℓ(x) = (t_y − t_x) + (t_y − t_{p(x)})`, in one
 //!   `O(depth)` walk up the parent column with no re-derivation from the
@@ -68,6 +71,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use super::{ClientReport, SimConfig};
 use crate::error::SimError;
@@ -174,17 +178,16 @@ pub struct IncrementalSummary {
     pub max_open_trees: usize,
 }
 
-/// One retained merge tree: the open tree grows in place, closed trees
-/// wait only for their clients' last part-deadlines. Served-out trees go
-/// back to the engine's pool, and later opens reuse their storage instead
-/// of allocating.
-///
-/// Node `i` is global arrival `base + i`; its stream starts at `times[i]`.
+/// The nodes of every retained tree, as three columns indexed by global
+/// arrival: entry `i` is arrival `offset + i`. Retained trees are
+/// consecutive arrival ranges (closed trees oldest first, then the open
+/// tree), so a tree is a subslice, and served-out trees are forgotten from
+/// the front.
 #[derive(Debug, Default)]
-struct Tree {
-    /// Global index of the root.
-    base: usize,
-    /// Local parent of each node; entry 0 (the root's) is unused.
+struct Columns {
+    /// Global index of entry 0.
+    offset: usize,
+    /// Tree-local parent of each node; a root's entry is unused.
     parent: Vec<usize>,
     times: Vec<i64>,
     /// Lemma-1 stream lengths: final once the tree is closed; while it is
@@ -193,42 +196,77 @@ struct Tree {
     lengths: Vec<i64>,
 }
 
-impl Tree {
-    /// Resets the storage to a fresh tree: a root at `time` with global
-    /// index `base` and a full-length stream.
-    fn reset(&mut self, base: usize, time: i64, media: i64) {
-        self.base = base;
-        self.parent.clear();
+impl Columns {
+    /// The retained tree spanning global arrivals `range`.
+    fn tree(&self, range: Range<usize>) -> Tree<'_> {
+        let cols = range.start - self.offset..range.end - self.offset;
+        Tree {
+            base: range.start,
+            parent: &self.parent[cols.clone()],
+            times: &self.times[cols.clone()],
+            lengths: &self.lengths[cols],
+        }
+    }
+
+    /// Arrival time of retained global arrival `arrival`.
+    fn time(&self, arrival: usize) -> i64 {
+        self.times[arrival - self.offset]
+    }
+
+    /// Appends a root at `time` with a full-length stream.
+    fn push_root(&mut self, time: i64, media: i64) {
         self.parent.push(0);
-        self.times.clear();
         self.times.push(time);
-        self.lengths.clear();
         self.lengths.push(media);
     }
 
-    /// One past the global index of the tree's last arrival.
-    fn end(&self) -> usize {
-        self.base + self.times.len()
-    }
-
-    /// Attaches an arrival at `time` under local node `parent` (which must
-    /// be in the tree), updating the tentative lengths of exactly the new
-    /// node's root path: the new node becomes the last descendant of every
-    /// proper ancestor `a`, so each non-root `a` gets
-    /// `ℓ(a) = (t_y − t_a) + (t_y − t_{p(a)})`; the root keeps the full
-    /// media length.
-    fn attach(&mut self, time: i64, parent: usize) {
+    /// Attaches an arrival at `time` under local node `parent` of the tree
+    /// rooted at global index `base` (the last tree in the columns),
+    /// updating the tentative lengths of exactly the new node's root path:
+    /// the new node becomes the last descendant of every proper ancestor
+    /// `a`, so each non-root `a` gets `ℓ(a) = (t_y − t_a) + (t_y − t_{p(a)})`;
+    /// the root keeps the full media length.
+    fn attach(&mut self, base: usize, time: i64, parent: usize) {
+        let b = base - self.offset;
+        let (parents, times) = (&self.parent[b..], &self.times[b..]);
+        let lengths = &mut self.lengths[b..];
         let mut a = parent;
         while a != 0 {
-            let up = self.parent[a];
-            self.lengths[a] = (time - self.times[a]) + (time - self.times[up]);
+            let up = parents[a];
+            lengths[a] = (time - times[a]) + (time - times[up]);
             a = up;
         }
         // The new node is its own last descendant: ℓ = t_y − t_p.
-        self.lengths.push(time - self.times[parent]);
+        let length = time - times[parent];
+        self.lengths.push(length);
         self.parent.push(parent);
         self.times.push(time);
     }
+
+    /// Forgets every arrival below global index `end` (served-out trees).
+    /// The dead prefix is shifted out only once it is at least half the
+    /// columns, so each node moves at most once on average and the
+    /// capacity, once grown, is reused in place.
+    fn release_below(&mut self, end: usize) {
+        let dead = end - self.offset;
+        if 2 * dead >= self.times.len() {
+            self.parent.drain(..dead);
+            self.times.drain(..dead);
+            self.lengths.drain(..dead);
+            self.offset = end;
+        }
+    }
+}
+
+/// One retained merge tree, borrowed from the [`Columns`]: node `i` is
+/// global arrival `base + i`, and its stream starts at `times[i]`.
+#[derive(Debug)]
+struct Tree<'a> {
+    /// Global index of the root.
+    base: usize,
+    parent: &'a [usize],
+    times: &'a [i64],
+    lengths: &'a [i64],
 }
 
 /// Arrival-at-a-time serving engine; see the module docs for the design.
@@ -248,14 +286,14 @@ pub struct IncrementalEngine {
     n: usize,
     /// Deadline cursor: next client to evaluate and emit.
     ci: usize,
-    /// The tree accepting arrivals.
-    open: Option<Tree>,
-    /// Closed trees with clients still awaiting their deadlines, oldest
-    /// first.
-    closed: VecDeque<Tree>,
-    /// Reclaimed storage of fully-served trees; opening a new tree pops
-    /// from here, so steady-state ingest allocates nothing.
-    pool: Vec<Tree>,
+    /// Root (global index) of the tree accepting arrivals; it spans up
+    /// to `n`.
+    open: Option<usize>,
+    /// Arrival ranges of the closed trees with clients still awaiting
+    /// their deadlines, oldest first.
+    closed: VecDeque<Range<usize>>,
+    /// Every retained tree's nodes.
+    columns: Columns,
     /// Start slots of the positive-length streams of *closed* trees, in
     /// order (they are arrival times), drained strictly below the latest
     /// closing root's arrival time together with `ends`.
@@ -287,7 +325,7 @@ impl IncrementalEngine {
             ci: 0,
             open: None,
             closed: VecDeque::new(),
-            pool: Vec::new(),
+            columns: Columns::default(),
             starts: VecDeque::new(),
             ends: BinaryHeap::new(),
             active: 0,
@@ -337,19 +375,18 @@ impl IncrementalEngine {
         match attach {
             Attach::Root => {
                 self.close_open(Some(time));
-                let mut tree = self.pool.pop().unwrap_or_default();
-                tree.reset(self.n, time, self.media);
-                self.open = Some(tree);
+                self.columns.push_root(time, self.media);
+                self.open = Some(self.n);
             }
             Attach::Under(parent) => {
                 let node = self.n;
                 let not_open = IngestError::ParentNotOpen { node, parent };
-                let open = self.open.as_mut().ok_or(not_open.clone())?;
+                let base = self.open.ok_or(not_open.clone())?;
                 let local = parent
-                    .checked_sub(open.base)
-                    .filter(|&l| l < open.times.len())
+                    .checked_sub(base)
+                    .filter(|_| parent < node)
                     .ok_or(not_open)?;
-                open.attach(time, local);
+                self.columns.attach(base, time, local);
             }
         }
         self.n += 1;
@@ -387,18 +424,24 @@ impl IncrementalEngine {
         emit: &mut F,
     ) -> Result<(), SimError> {
         while self.ci < self.n {
+            if before.is_some_and(|h| self.columns.time(self.ci) + self.media >= h) {
+                return Ok(());
+            }
             // The next unserved client always lives in the *front* closed
             // tree (earlier trees were dropped exactly when served out),
             // or in the open tree once no closed tree is left.
-            let Some(tree) = self.closed.front().or(self.open.as_ref()) else {
+            let Some(range) = self
+                .closed
+                .front()
+                .cloned()
+                .or(self.open.map(|base| base..self.n))
+            else {
                 debug_assert!(false, "client {} has no retained tree", self.ci);
                 return Ok(());
             };
-            debug_assert!((tree.base..tree.end()).contains(&self.ci));
+            debug_assert!(range.contains(&self.ci));
+            let tree = self.columns.tree(range);
             let local = self.ci - tree.base;
-            if before.is_some_and(|h| tree.times[local] + self.media >= h) {
-                return Ok(());
-            }
             // Tentative lengths are safe for open-tree clients: every length
             // a client reads can only grow past demands fixed at its arrival.
             emit(eval_client(
@@ -409,10 +452,9 @@ impl IncrementalEngine {
                 &mut self.scratch,
             )?);
             self.ci += 1;
-            if self.closed.front().is_some_and(|t| t.end() == self.ci) {
-                if let Some(done) = self.closed.pop_front() {
-                    self.pool.push(done);
-                }
+            if self.closed.front().is_some_and(|t| t.end == self.ci) {
+                self.closed.pop_front();
+                self.columns.release_below(self.ci);
             }
         }
         Ok(())
@@ -425,18 +467,19 @@ impl IncrementalEngine {
     /// sound because every event a future push can add lies at or past
     /// the closing root's arrival time.
     fn close_open(&mut self, horizon: Option<i64>) {
-        if let Some(open) = self.open.take() {
-            for (&start, &length) in open.times.iter().zip(&open.lengths) {
+        if let Some(base) = self.open.take() {
+            let open = self.columns.tree(base..self.n);
+            for (&start, &length) in open.times.iter().zip(open.lengths) {
                 if length > 0 {
                     self.starts.push_back(start);
                     self.ends.push(Reverse(start + length));
                 }
                 self.total_units += length;
             }
-            if self.ci < open.end() {
-                self.closed.push_back(open);
+            if self.ci < self.n {
+                self.closed.push_back(base..self.n);
             } else {
-                self.pool.push(open);
+                self.columns.release_below(self.n);
             }
         }
         loop {
@@ -694,7 +737,7 @@ fn endpoint_sweep(scratch: &EngineScratch, t_c: i64, media: i64) -> SweepOutcome
 /// in `O(segments log segments)` arithmetic — no per-slot state, no
 /// allocation (everything lives in `scratch`).
 fn eval_client(
-    tree: &Tree,
+    tree: Tree<'_>,
     local: usize,
     media_len: u64,
     config: SimConfig,
@@ -705,7 +748,7 @@ fn eval_client(
     let global = tree.base + local;
 
     scratch
-        .rebuild_and_verify_program(&tree.parent, &tree.times, media, local)
+        .rebuild_and_verify_program(tree.parent, tree.times, media, local)
         .map_err(SimError::Model)?;
 
     // Per-segment closed forms, pushing each non-empty segment's inclusive
@@ -979,6 +1022,22 @@ mod tests {
         let summary =
             simulate_incremental(&forest, &times, 1000, SimConfig::default(), |_| {}).unwrap();
         assert_eq!(summary.max_open_trees, n);
+    }
+
+    #[test]
+    fn delay_guaranteed_grid_retains_a_handful_of_trees() {
+        // The §4.1 steady-state server shape: one client per slot, merged
+        // by the Delay Guaranteed policy. A client waits at most L slots
+        // for its deadline and DG trees span ~L slots, so only the open
+        // tree and its two predecessors stay retained, however long the
+        // run (the same 3 as at 10⁷ arrivals).
+        let (media, n) = (100u64, 10_000usize);
+        let forest = sm_online::DelayGuaranteedOnline::new(media).forest_after(n);
+        let times = consecutive_slots(n);
+        let summary =
+            simulate_incremental(&forest, &times, media, SimConfig::default(), |_| {}).unwrap();
+        assert_eq!(summary.summary.clients, n);
+        assert_eq!(summary.max_open_trees, 3);
     }
 
     /// Quadratic reference for the endpoint sweep: evaluate occupancy at

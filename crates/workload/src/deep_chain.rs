@@ -30,7 +30,7 @@ pub fn max_feasible_chain(media_len: u64) -> usize {
 /// `consecutive_slots` arrival times.
 ///
 /// The result always simulates cleanly, making it a drop-in stress shape
-/// for benches and the equivalence suite.
+/// (the allocation-budget harness replays it).
 ///
 /// # Panics
 /// Panics if `n == 0`.

@@ -1,9 +1,9 @@
 #![allow(unsafe_code)] // counting #[global_allocator]: raw-pointer plumbing by design
 //! Allocation-budget harness for the column-backed engines.
 //!
-//! A counting `#[global_allocator]` (the same wrapper `sm-bench`'s
-//! `scale.rs` installs) feeds `sm_core::alloc_counter`'s per-thread
-//! counters, and the tests here pin the engines' allocation discipline:
+//! A counting `#[global_allocator]` feeds `sm_core::alloc_counter`'s
+//! per-thread counters, and the tests here pin the engines' allocation
+//! discipline:
 //!
 //! * **events** — one cold batch streaming run (which replays through the
 //!   incremental engine) allocates only the engine's reusable storage (the
@@ -11,7 +11,9 @@
 //!   and length columns, and the bandwidth queues), each growing by
 //!   amortized doubling. The total is `O(log n)`, so it fits a fixed
 //!   [`EVENTS_SETUP_BUDGET`] and — the sharper claim — barely moves when
-//!   `n` quadruples.
+//!   `n` quadruples. Two shapes are checked: the balanced Delay Guaranteed
+//!   grid and a flash crowd batched into star trees (many co-slot
+//!   arrivals, wide trees).
 //! * **incremental** — after a warm-up prefix of pushes has grown every
 //!   pool and buffer, the remaining pushes allocate nothing at all (the
 //!   bandwidth meter is a running peak).
@@ -25,11 +27,11 @@
 //! The counters are per-thread, so the harness is immune to the test
 //! runner's own threads; each test observes only its own allocations.
 
-use sm_core::{alloc_counter, consecutive_slots};
+use sm_core::{alloc_counter, consecutive_slots, MergeForest, MergeTree};
 use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
 use sm_serve::{serve_multi, MultiServeConfig, TitleConfig};
 use sm_sim::{simulate_streaming_slice, Attach, IncrementalEngine, SimConfig};
-use sm_workload::{deep_chain_forest, ArrivalProcess, PoissonProcess};
+use sm_workload::{deep_chain_forest, ArrivalProcess, FlashCrowd, PoissonProcess};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 
@@ -60,7 +62,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const MEDIA: u64 = 100;
 
 /// Setup budget for one cold `simulate_streaming_slice` run: the scratch
-/// buffers, tree-storage pool, and bandwidth start queue and end heap
+/// buffers, the shared tree columns, and bandwidth start queue and end heap
 /// together allocate a few dozen times (amortized doublings included).
 /// The budget leaves generous headroom; the scaling assertion below is the
 /// load-bearing one.
@@ -72,21 +74,67 @@ const EVENTS_SETUP_BUDGET: u64 = 512;
 /// `O(n)`.
 const EVENTS_GROWTH_SLACK: u64 = 64;
 
-/// One cold Delay Guaranteed streaming run; returns the allocations the
-/// run itself performed (workload construction excluded).
-fn events_run_allocations(n: usize) -> u64 {
-    let alg = DelayGuaranteedOnline::new(MEDIA);
-    let forest = alg.forest_after(n);
-    let times = consecutive_slots(n);
+/// A batch replay input: a merge forest and its sorted arrival slots.
+type Workload = (MergeForest, Vec<i64>);
+
+/// The Delay Guaranteed grid: `n` consecutive slots, one client each
+/// (balanced trees).
+fn dg_grid(n: usize) -> Workload {
+    (
+        DelayGuaranteedOnline::new(MEDIA).forest_after(n),
+        consecutive_slots(n),
+    )
+}
+
+/// About `n` flash-crowd arrivals (Poisson background at two per slot, a
+/// ×20 premiere spike over 1% of the horizon), floored to slots and
+/// batched into star trees.
+fn flash_crowd_stars(n: usize) -> Workload {
+    let horizon = n as f64 * 0.45;
+    let mut crowd = FlashCrowd::new(0.5, horizon * 0.4, horizon * 0.01, 20.0, 42);
+    let slots: Vec<i64> = crowd
+        .generate(horizon)
+        .into_iter()
+        .map(|t| t.floor() as i64)
+        .collect();
+    batched_star_forest(&slots)
+}
+
+/// Batches co-slot arrivals into star trees: every occupied slot opens one
+/// full stream, and the rest of its batch merges into it with zero-length
+/// streams — the classical batching service plan, always feasible.
+fn batched_star_forest(slots: &[i64]) -> Workload {
+    let mut trees = Vec::new();
+    let mut times = Vec::with_capacity(slots.len());
+    let mut i = 0usize;
+    while i < slots.len() {
+        let batch = slots[i..].iter().take_while(|&&s| s == slots[i]).count();
+        trees.push(if batch == 1 {
+            MergeTree::singleton()
+        } else {
+            MergeTree::star(batch)
+        });
+        times.extend(std::iter::repeat_n(slots[i], batch));
+        i += batch;
+    }
+    (
+        MergeForest::from_trees(trees).expect("at least one arrival"),
+        times,
+    )
+}
+
+/// One cold streaming run over `(forest, times)`; returns the allocations
+/// the run itself performed (workload construction excluded).
+fn events_run_allocations(forest: &MergeForest, times: &[i64]) -> u64 {
     let ckpt = alloc_counter::checkpoint();
     let mut served = 0usize;
-    simulate_streaming_slice(&forest, &times, MEDIA, SimConfig::events(), |report| {
+    simulate_streaming_slice(forest, times, MEDIA, SimConfig::events(), |report| {
         served += 1;
         black_box(report.max_buffer);
     })
-    .expect("DG plan must execute");
+    .expect("the plan must execute");
     let allocs = ckpt.allocations_since();
-    assert_eq!(served, n);
+    assert_eq!(served, times.len());
     allocs
 }
 
@@ -101,25 +149,34 @@ fn counting_allocator_is_live() {
     );
 }
 
-#[test]
-fn events_steady_state_is_allocation_free() {
-    let small = events_run_allocations(4_000);
-    let large = events_run_allocations(16_000);
+/// Cold events runs of `make`'s shape at n = 4000 and n = 16000: within
+/// the setup budget, and the count barely moves when `n` quadruples.
+fn assert_cold_runs_do_not_scale(shape: &str, make: fn(usize) -> Workload) {
+    let (forest, times) = make(4_000);
+    let small = events_run_allocations(&forest, &times);
+    let (forest, times) = make(16_000);
+    let large = events_run_allocations(&forest, &times);
     assert!(
         small <= EVENTS_SETUP_BUDGET,
-        "cold events run allocated {small} times, budget is {EVENTS_SETUP_BUDGET}"
+        "{shape}: cold events run allocated {small} times, budget is {EVENTS_SETUP_BUDGET}"
     );
     // The per-arrival discipline: quadrupling the workload must not scale
     // the allocation count — only log-many further doublings are allowed.
     assert!(
         large <= small + EVENTS_GROWTH_SLACK,
-        "allocations scaled with n: {small} at n=4000 vs {large} at n=16000"
+        "{shape}: allocations scaled with n: {small} at n=4000 vs {large} at n=16000"
     );
     assert_eq!(
-        large / 16_000,
+        large / times.len() as u64,
         0,
-        "allocations per arrival must floor to zero"
+        "{shape}: allocations per arrival must floor to zero"
     );
+}
+
+#[test]
+fn events_steady_state_is_allocation_free() {
+    assert_cold_runs_do_not_scale("DG grid", dg_grid);
+    assert_cold_runs_do_not_scale("flash crowd", flash_crowd_stars);
 }
 
 #[test]
