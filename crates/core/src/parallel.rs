@@ -16,8 +16,8 @@
 //! runs up to `K` finished items (plus one in flight) ahead of the consumer
 //! while order, results, and the first error are exactly those of the plain
 //! sequential interleaving, at any depth. The `sm-server` dynamic simulator
-//! uses it to plan up to `K` epochs ahead of materialization
-//! (`DynamicConfig::plan_ahead`); each stage may freely call
+//! uses it at depth 2 to plan up to two epochs ahead of materialization
+//! (`sm_server::simulate_dynamic`); each stage may freely call
 //! [`parallel_map`] internally (stage threads are *not* marked as workers),
 //! while a `pipeline` call from inside a `parallel_map` worker runs inline
 //! so nesting never oversubscribes the machine.

@@ -2,15 +2,14 @@
 //! minute 600 doubles the catalog; the server re-plans per-title delays
 //! under the same 48-stream license, and the stream-exact simulation shows
 //! the steady state never violates it while the transition overlap is
-//! measured explicitly. The run uses the depth-2 plan-ahead pipeline with
-//! a shared cross-epoch [`PlannerMemo`] and goes through
-//! [`sm_experiments::simcheck::crosscheck_dynamic_with`], so the pipelined
-//! spine is verified bit-identical to the memo-free sequential reference
-//! before any number is printed.
+//! measured explicitly. The run goes through
+//! [`sm_experiments::simcheck::crosscheck_dynamic`], so the pipelined,
+//! memo-carrying spine is verified bit-identical to the memo-free
+//! sequential reference before any number is printed.
 
 use sm_experiments::output::{render_table, results_dir, write_csv};
-use sm_experiments::simcheck::crosscheck_dynamic_with;
-use sm_server::{Catalog, DynamicConfig, Epoch, PlannerMemo};
+use sm_experiments::simcheck::crosscheck_dynamic;
+use sm_server::{Catalog, Epoch};
 
 fn main() {
     let epochs = [
@@ -26,9 +25,7 @@ fn main() {
     let budget = 48u64;
     let candidates = [1.0, 2.0, 5.0, 10.0, 20.0];
     let horizon = 1440u64;
-    let memo = PlannerMemo::new();
-    let config = DynamicConfig::depth(2).with_memo(memo.clone());
-    let report = crosscheck_dynamic_with(&epochs, budget, &candidates, horizon, &config)
+    let report = crosscheck_dynamic(&epochs, budget, &candidates, horizon)
         .unwrap_or_else(|e| panic!("pipelined/sequential cross-check failed: {e}"))
         .expect("both epochs must be plannable under the license");
 
@@ -70,14 +67,7 @@ fn main() {
         "measured: steady peak {} / {budget}, transition peak {}, overall {}",
         report.steady_peak, report.transition_peak, report.peak
     );
-    println!(
-        "pipeline: plan-ahead depth {}, planner memo {} hits / {} analyses \
-         ({} distinct media lengths cached)",
-        config.plan_ahead,
-        memo.hits(),
-        memo.misses(),
-        memo.distinct_lengths()
-    );
+    println!("pipeline: planner memo {} hits", report.memo_hits);
     assert!(report.steady_peak <= budget);
 
     let minute_headers = ["minute", "streams"];

@@ -11,8 +11,7 @@ use sm_core::consecutive_slots;
 use sm_offline::forest::optimal_forest;
 use sm_online::DelayGuaranteedOnline;
 use sm_server::{
-    simulate_dynamic_sequential, simulate_dynamic_with, DynamicConfig, DynamicError, DynamicReport,
-    Epoch,
+    simulate_dynamic, simulate_dynamic_sequential, DynamicError, DynamicReport, Epoch,
 };
 use sm_sim::{simulate_with, SimConfig};
 
@@ -53,10 +52,12 @@ pub fn crosscheck_online(media_len: u64, n: usize) -> Result<i64, String> {
 }
 
 /// Runs the §5 dynamic re-provisioning scenario through **both** server
-/// spines — the cross-epoch pipelined `simulate_dynamic` and the sequential
-/// reference — and demands bit-identical outcomes (per-minute profile,
-/// peaks, plans, per-epoch breakdown, or the same typed error; the
-/// wall-clock latency fields are exempt, they measure the run itself).
+/// spines — the cross-epoch pipelined `simulate_dynamic` with its
+/// run-local memo and the memo-free sequential reference — and demands
+/// bit-identical outcomes (per-minute profile, peaks, plans, per-epoch
+/// breakdown, or the same typed error; the wall-clock latency fields and
+/// `memo_hits` are exempt, they measure the run itself). A stale memo
+/// entry would therefore fail the check, not silently agree with itself.
 ///
 /// The outer `Result` is the cross-check: `Err(String)` means the spines
 /// diverged. The inner `Result` is the agreed domain outcome — the
@@ -68,28 +69,7 @@ pub fn crosscheck_dynamic(
     candidates_minutes: &[f64],
     horizon_minutes: u64,
 ) -> Result<Result<DynamicReport, DynamicError>, String> {
-    crosscheck_dynamic_with(
-        epochs,
-        budget,
-        candidates_minutes,
-        horizon_minutes,
-        &DynamicConfig::default(),
-    )
-}
-
-/// [`crosscheck_dynamic`] under an explicit [`DynamicConfig`]: the
-/// pipelined spine runs with the caller's plan-ahead depth and (optional)
-/// shared memo, while the sequential reference stays **memo-free** — so a
-/// stale memo entry or a depth-dependent divergence would fail the check,
-/// not silently agree with itself.
-pub fn crosscheck_dynamic_with(
-    epochs: &[Epoch],
-    budget: u64,
-    candidates_minutes: &[f64],
-    horizon_minutes: u64,
-    config: &DynamicConfig,
-) -> Result<Result<DynamicReport, DynamicError>, String> {
-    let piped = simulate_dynamic_with(epochs, budget, candidates_minutes, horizon_minutes, config);
+    let piped = simulate_dynamic(epochs, budget, candidates_minutes, horizon_minutes);
     let seq = simulate_dynamic_sequential(epochs, budget, candidates_minutes, horizon_minutes);
     match (piped, seq) {
         (Ok(a), Ok(b)) => match a.deterministic_diff(&b) {
@@ -137,28 +117,10 @@ mod tests {
             .expect("scenario is plannable under the budget");
         assert_eq!(report.epoch_plans.len(), 2);
         assert!(report.steady_peak <= 40);
-    }
-
-    #[test]
-    fn dynamic_crosscheck_accepts_depth_k_with_a_shared_memo() {
-        use sm_server::PlannerMemo;
-        let epochs = [
-            Epoch {
-                start_minute: 0,
-                catalog: Catalog::zipf(3, 1.0, &[120.0, 90.0]),
-            },
-            Epoch {
-                start_minute: 400,
-                catalog: Catalog::zipf(6, 1.0, &[120.0, 90.0, 100.0]),
-            },
-        ];
-        let memo = PlannerMemo::new();
-        let config = DynamicConfig::depth(4).with_memo(memo.clone());
-        let report = crosscheck_dynamic_with(&epochs, 40, &[1.0, 2.0, 5.0, 10.0], 900, &config)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .expect("scenario is plannable under the budget");
-        assert_eq!(report.epoch_plans.len(), 2);
-        assert!(memo.misses() > 0, "the memo must have seeded analyses");
+        assert!(
+            report.memo_hits > 0,
+            "the pipelined spine's report is returned"
+        );
     }
 
     #[test]

@@ -32,9 +32,8 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::catalog::Catalog;
-use crate::memo::PlannerMemo;
 use crate::planner::DelayPlan;
-use sm_core::consecutive_slots;
+use sm_core::{consecutive_slots, parallel_map};
 use sm_online::delay_guaranteed::DelayGuaranteedOnline;
 use sm_sim::{stream_schedule, BandwidthProfile};
 
@@ -72,37 +71,27 @@ pub fn aggregate_profile(
     plan: &DelayPlan,
     horizon_minutes: u64,
 ) -> AggregateReport {
-    aggregate_profile_with(catalog, plan, horizon_minutes, &PlannerMemo::new())
-}
-
-/// [`aggregate_profile`] with a caller-owned [`PlannerMemo`]: each distinct
-/// media length's periodic profile is derived once per memo lifetime (the
-/// memo's seeding stage shards the unseen lengths across threads), so
-/// catalogs with repeated durations — and repeated admission checks against
-/// overlapping catalogs — reuse earlier derivations. The report is
-/// **bit-identical** to [`aggregate_profile`]'s.
-pub fn aggregate_profile_with(
-    catalog: &Catalog,
-    plan: &DelayPlan,
-    horizon_minutes: u64,
-    memo: &PlannerMemo,
-) -> AggregateReport {
     assert_eq!(plan.delays_minutes.len(), catalog.len());
     assert!(horizon_minutes > 0);
-    // Each title's periodic profile is an independent forest + schedule
-    // construction: the memo shards the distinct unseen ones across
+    // Each distinct media length's periodic profile is an independent
+    // forest + schedule construction: derive each once, sharded across
     // threads (order-preserving, so the aggregate is bit-identical to a
-    // sequential sum), then every title fetches its shared profile.
-    let jobs: Vec<(f64, u64)> = catalog
+    // sequential sum), then every title looks up its length's profile.
+    let media_lens: Vec<u64> = catalog
         .titles()
         .iter()
         .zip(&plan.delays_minutes)
-        .map(|(t, &d)| (d, t.media_len(d)))
+        .map(|(t, &d)| t.media_len(d))
         .collect();
-    memo.seed_profiles(jobs.iter().map(|&(_, l)| l).collect());
-    let profiles: Vec<(f64, std::sync::Arc<Vec<u32>>)> = jobs
+    let mut distinct = media_lens.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let derived = parallel_map(&distinct, |&l| periodic_profile(l));
+    let profiles: Vec<(f64, &Vec<u32>)> = plan
+        .delays_minutes
         .iter()
-        .map(|&(d, media_len)| (d, memo.periodic(media_len)))
+        .zip(&media_lens)
+        .map(|(&d, &l)| (d, &derived[distinct.partition_point(|&x| x < l)]))
         .collect();
     let mut per_minute = vec![0u64; horizon_minutes as usize];
     for (m, slot_count) in per_minute.iter_mut().enumerate() {
@@ -243,26 +232,6 @@ mod tests {
         );
         assert!(agg.average <= agg.peak as f64);
         assert!(agg.peak > 0);
-    }
-
-    #[test]
-    fn memoized_aggregate_is_bit_identical_and_reuses_profiles() {
-        let catalog = catalog();
-        let plan = plan_weighted(&catalog, u64::MAX, &[2.0, 5.0]).unwrap();
-        let memo = PlannerMemo::new();
-        let fresh = aggregate_profile(&catalog, &plan, 500);
-        let memod = aggregate_profile_with(&catalog, &plan, 500, &memo);
-        assert_eq!(fresh, memod, "memo must not change the aggregate");
-        let derivations = memo.misses();
-        assert!(derivations > 0);
-        let again = aggregate_profile_with(&catalog, &plan, 500, &memo);
-        assert_eq!(fresh, again);
-        assert_eq!(
-            memo.misses(),
-            derivations,
-            "repeat admission checks must reuse the cached profiles"
-        );
-        assert!(memo.hits() > 0);
     }
 
     #[test]

@@ -12,30 +12,27 @@
 //! binned on the minute grid, so the transition overlap is measured, not
 //! modeled.
 //!
-//! # The depth-K cross-epoch pipeline
+//! # The cross-epoch pipeline
 //!
-//! Epochs are processed by a two-stage pipeline built on
-//! [`sm_core::pipeline`]: a *planning* stage runs the weighted planner
-//! (including its parallel memo seeding) on its own thread while the
-//! *materialization* stage turns finished plans into exact stream
-//! intervals and bins them — per-title work inside each stage still shards
-//! across threads with [`sm_core::parallel_map`]. The bounded channel
-//! between the stages holds up to [`DynamicConfig::plan_ahead`] finished
-//! plans, so planning runs at most `K` epochs ahead of materialization —
-//! `K = 1` is the classic one-epoch overlap, larger `K` lets short
-//! planning stages batch ahead of a slow materialization without ever
-//! growing the backlog unboundedly.
+//! [`simulate_dynamic`] processes epochs through a two-stage pipeline built
+//! on [`sm_core::pipeline`]: a *planning* stage runs the weighted planner
+//! on its own thread while the *materialization* stage turns finished
+//! plans into exact stream intervals and bins them — per-title work inside
+//! each stage still shards across threads with [`sm_core::parallel_map`].
+//! The bounded channel between the stages holds up to two finished plans,
+//! so planning runs at most two epochs ahead of materialization and the
+//! backlog never grows unboundedly.
 //!
-//! [`DynamicConfig::memo`] optionally threads a shared [`PlannerMemo`]
-//! through the planning stage: overlapping catalogs then pay for each
-//! distinct media length's steady-state analysis once per memo lifetime
-//! instead of once per epoch. [`simulate_dynamic_sequential`] keeps the
-//! original one-epoch-at-a-time spine as the reference (it honors the memo
-//! too, via [`simulate_dynamic_sequential_with`]): all spines and knob
-//! settings produce **bit-identical** reports (pinned by proptest in
-//! `crates/server/tests/proptests.rs` for `K ∈ {1, 2, 4}`, with and
-//! without a shared memo) up to the wall-clock latency fields of
-//! [`EpochBreakdown`], which measure the run itself.
+//! The planning stage threads one run-local [`PlannerMemo`] through every
+//! epoch: overlapping catalogs pay for each distinct media length's
+//! steady-state analysis once per run instead of once per epoch, and the
+//! report counts the reuse as [`DynamicReport::memo_hits`].
+//! [`simulate_dynamic_sequential`] keeps the original memo-free,
+//! one-epoch-at-a-time spine as the reference: the two produce
+//! **bit-identical** reports (pinned by proptest in
+//! `crates/server/tests/proptests.rs`) up to the fields that measure the
+//! run itself — the wall-clock latencies of [`EpochBreakdown`] and
+//! `memo_hits`.
 //!
 //! The report separates the steady-state peak (which the planner guarantees
 //! under the budget) from the transition peak (old + new streams briefly
@@ -61,6 +58,7 @@
 //! let seq = simulate_dynamic_sequential(&epochs, 40, &[2.0, 5.0, 10.0], 240).unwrap();
 //! assert_eq!(report.per_minute, seq.per_minute);
 //! assert_eq!(report.peak, seq.peak);
+//! assert_eq!(seq.memo_hits, 0, "the reference plans memo-free");
 //! ```
 
 use std::fmt;
@@ -68,72 +66,14 @@ use std::time::Instant;
 
 use crate::catalog::Catalog;
 use crate::memo::PlannerMemo;
-use crate::planner::{plan_weighted, plan_weighted_with, DelayPlan};
+use crate::planner::{plan_weighted_with, DelayPlan};
 use sm_core::{consecutive_slots, parallel_map, pipeline};
 use sm_online::delay_guaranteed::DelayGuaranteedOnline;
 use sm_sim::{BandwidthProfile, ScheduleStream, SimError};
 
-/// Knobs of the dynamic simulation: how far the planning stage may run
-/// ahead of materialization, and whether the steady-state analyses are
-/// shared across epochs (and runs) through a [`PlannerMemo`].
-///
-/// Every setting is **observability-only** with respect to the report: all
-/// `(plan_ahead, memo)` combinations produce bit-identical deterministic
-/// fields (pinned by proptest). The knobs change wall-clock behavior —
-/// how much planning overlaps materialization, and how often the
-/// steady-state analyses actually execute.
-///
-/// ```
-/// use sm_server::{DynamicConfig, PlannerMemo};
-///
-/// // The default is the PR-4 behavior: plan one epoch ahead, no sharing.
-/// let default = DynamicConfig::default();
-/// assert_eq!(default.plan_ahead, 1);
-/// assert!(default.memo.is_none());
-///
-/// // Plan up to 4 epochs ahead, sharing analyses across the whole run.
-/// let tuned = DynamicConfig::depth(4).with_memo(PlannerMemo::new());
-/// assert_eq!(tuned.plan_ahead, 4);
-/// assert!(tuned.memo.is_some());
-/// ```
-#[derive(Debug, Clone)]
-pub struct DynamicConfig {
-    /// Channel depth of the cross-epoch pipeline: the planner may finish up
-    /// to this many epochs before materialization consumes them. Must be at
-    /// least 1 ([`simulate_dynamic_with`] panics otherwise). Ignored by the
-    /// sequential spine, which has no pipeline.
-    pub plan_ahead: usize,
-    /// Shared steady-state analysis cache threaded through the planning
-    /// stage. `None` (the default) gives every epoch's plan a fresh memo —
-    /// the memo-free PR-4 behavior.
-    pub memo: Option<PlannerMemo>,
-}
-
-impl Default for DynamicConfig {
-    /// Depth-1 plan-ahead, no shared memo — exactly the PR-4 pipeline.
-    fn default() -> Self {
-        Self {
-            plan_ahead: 1,
-            memo: None,
-        }
-    }
-}
-
-impl DynamicConfig {
-    /// A memo-free config planning up to `plan_ahead` epochs ahead.
-    pub fn depth(plan_ahead: usize) -> Self {
-        Self {
-            plan_ahead,
-            memo: None,
-        }
-    }
-
-    /// Threads `memo` through the planning stage (builder-style).
-    pub fn with_memo(mut self, memo: PlannerMemo) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-}
+/// How many finished plans the planning stage may hold ahead of
+/// materialization.
+const PLAN_AHEAD: usize = 2;
 
 /// A catalog snapshot taking effect at `start_minute`.
 #[derive(Debug, Clone)]
@@ -197,12 +137,15 @@ pub struct DynamicReport {
     pub epoch_plans: Vec<EpochPlan>,
     /// Per-epoch peaks and stage latencies, aligned with `epoch_plans`.
     pub per_epoch: Vec<EpochBreakdown>,
+    /// Planner-memo lookups served from cache during this run (0 for the
+    /// memo-free [`simulate_dynamic_sequential`]).
+    pub memo_hits: u64,
 }
 
 impl DynamicReport {
     /// Compares every **deterministic** field against `other` — everything
-    /// except the per-epoch `plan_ms` / `materialize_ms` latencies, which
-    /// measure the run itself — and returns a description of the first
+    /// except the per-epoch `plan_ms` / `materialize_ms` latencies and
+    /// `memo_hits`, which measure the run itself — and returns a description of the first
     /// divergence, or `None` when the reports are bit-identical. This is
     /// the one canonical definition of "the pipelined and sequential spines
     /// agree", shared by the unit tests, the proptest pin, and the
@@ -390,27 +333,23 @@ fn title_streams(
     Ok(out)
 }
 
-/// Plans one epoch: the pipeline's producer stage. With a memo the
-/// steady-state analyses are shared across epochs (and runs); without one
-/// each epoch plans against a fresh cache — either way the chosen plan is
-/// bit-identical.
+/// Plans one epoch: the pipeline's producer stage. A memo shared across
+/// epochs and a fresh one per epoch choose bit-identical plans.
 fn plan_stage(
     epochs: &[Epoch],
     job: EpochJob,
     budget: u64,
     candidates_minutes: &[f64],
-    memo: Option<&PlannerMemo>,
+    memo: &PlannerMemo,
 ) -> Result<(DelayPlan, f64), DynamicError> {
     let t = Instant::now();
     let catalog = &epochs[job.epoch].catalog;
-    let plan = match memo {
-        Some(memo) => plan_weighted_with(catalog, budget, candidates_minutes, memo),
-        None => plan_weighted(catalog, budget, candidates_minutes),
-    }
-    .ok_or(DynamicError::Infeasible {
-        epoch: job.epoch,
-        start_minute: job.t0,
-    })?;
+    let plan = plan_weighted_with(catalog, budget, candidates_minutes, memo).ok_or(
+        DynamicError::Infeasible {
+            epoch: job.epoch,
+            start_minute: job.t0,
+        },
+    )?;
     Ok((plan, t.elapsed().as_secs_f64() * 1e3))
 }
 
@@ -458,6 +397,7 @@ fn assemble_report(
     epoch_plans: Vec<EpochPlan>,
     latencies: Vec<(f64, f64)>,
     longest_media: u64,
+    memo_hits: u64,
 ) -> DynamicReport {
     let in_transition = |m: u64| {
         epochs[1..]
@@ -503,13 +443,15 @@ fn assemble_report(
         per_minute,
         epoch_plans,
         per_epoch,
+        memo_hits,
     }
 }
 
-/// Simulates the epochs against `budget` over `[0, horizon_minutes)` with
-/// the default knobs: depth-1 plan-ahead, no shared memo (see
-/// [`simulate_dynamic_with`]). The report is bit-identical to
-/// [`simulate_dynamic_sequential`] up to the latency fields.
+/// Simulates the epochs against `budget` over `[0, horizon_minutes)`,
+/// planning up to two epochs ahead of materialization with one run-local
+/// [`PlannerMemo`]. The report is bit-identical to
+/// [`simulate_dynamic_sequential`] up to the latency fields and
+/// `memo_hits`.
 ///
 /// # Errors
 /// [`DynamicError::Infeasible`] if some epoch has no feasible plan;
@@ -527,40 +469,6 @@ pub fn simulate_dynamic(
     candidates_minutes: &[f64],
     horizon_minutes: u64,
 ) -> Result<DynamicReport, DynamicError> {
-    simulate_dynamic_with(
-        epochs,
-        budget,
-        candidates_minutes,
-        horizon_minutes,
-        &DynamicConfig::default(),
-    )
-}
-
-/// [`simulate_dynamic`] governed by a [`DynamicConfig`]: the planning stage
-/// runs up to `config.plan_ahead` epochs ahead of materialization through
-/// the depth-K bounded pipeline, and `config.memo` optionally shares the
-/// steady-state analyses across epochs and runs. Every configuration is
-/// bit-identical to [`simulate_dynamic_sequential`] up to the latency
-/// fields.
-///
-/// # Errors
-/// Same as [`simulate_dynamic`].
-///
-/// # Panics
-/// Same as [`simulate_dynamic`]; additionally panics if
-/// `config.plan_ahead == 0` (a pipeline needs at least one slot of
-/// plan-ahead — use the sequential spine for no overlap at all).
-pub fn simulate_dynamic_with(
-    epochs: &[Epoch],
-    budget: u64,
-    candidates_minutes: &[f64],
-    horizon_minutes: u64,
-    config: &DynamicConfig,
-) -> Result<DynamicReport, DynamicError> {
-    assert!(
-        config.plan_ahead >= 1,
-        "plan_ahead must be at least 1 (use simulate_dynamic_sequential for no overlap)"
-    );
     let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes);
     // The materialization stage bins each epoch's streams into a
     // difference array as they arrive — O(streams + horizon) with no
@@ -570,19 +478,12 @@ pub fn simulate_dynamic_with(
     let mut epoch_plans: Vec<EpochPlan> = Vec::with_capacity(jobs.len());
     let mut latencies: Vec<(f64, f64)> = Vec::with_capacity(jobs.len());
     let mut longest_media = 0u64;
+    let memo = PlannerMemo::new();
 
     pipeline(
         jobs.len(),
-        config.plan_ahead,
-        |k| {
-            plan_stage(
-                epochs,
-                jobs[k],
-                budget,
-                candidates_minutes,
-                config.memo.as_ref(),
-            )
-        },
+        PLAN_AHEAD,
+        |k| plan_stage(epochs, jobs[k], budget, candidates_minutes, &memo),
         |k, (plan, plan_ms)| {
             let job = jobs[k];
             let t = Instant::now();
@@ -623,14 +524,16 @@ pub fn simulate_dynamic_with(
         epoch_plans,
         latencies,
         longest_media,
+        memo.hits(),
     ))
 }
 
 /// The original sequential spine: plans and materializes one epoch at a
-/// time on the calling thread, accounting through the sort-based sparse
-/// [`BandwidthProfile`]. Kept as the reference implementation the pipelined
-/// [`simulate_dynamic`] is pinned against (identical report up to the
-/// latency fields), and as the fallback shape for profiling either stage in
+/// time on the calling thread, each epoch against a fresh memo, accounting
+/// through the sort-based sparse [`BandwidthProfile`]. Kept as the
+/// memo-free reference the pipelined [`simulate_dynamic`] is pinned against
+/// (identical report up to the latency fields and `memo_hits`, which is
+/// always 0 here), and as the fallback shape for profiling either stage in
 /// isolation.
 ///
 /// # Errors
@@ -644,32 +547,6 @@ pub fn simulate_dynamic_sequential(
     candidates_minutes: &[f64],
     horizon_minutes: u64,
 ) -> Result<DynamicReport, DynamicError> {
-    simulate_dynamic_sequential_with(
-        epochs,
-        budget,
-        candidates_minutes,
-        horizon_minutes,
-        &DynamicConfig::default(),
-    )
-}
-
-/// [`simulate_dynamic_sequential`] honoring `config.memo` (the sequential
-/// spine has no pipeline, so `config.plan_ahead` is ignored): the reference
-/// spine for memo-carrying runs. Bit-identical to every other
-/// spine/configuration up to the latency fields.
-///
-/// # Errors
-/// Same as [`simulate_dynamic`].
-///
-/// # Panics
-/// Same as [`simulate_dynamic`].
-pub fn simulate_dynamic_sequential_with(
-    epochs: &[Epoch],
-    budget: u64,
-    candidates_minutes: &[f64],
-    horizon_minutes: u64,
-    config: &DynamicConfig,
-) -> Result<DynamicReport, DynamicError> {
     let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes);
     let mut intervals: Vec<(i64, i64)> = Vec::new();
     let mut epoch_plans: Vec<EpochPlan> = Vec::with_capacity(jobs.len());
@@ -677,13 +554,8 @@ pub fn simulate_dynamic_sequential_with(
     let mut longest_media = 0u64;
 
     for &job in &jobs {
-        let (plan, plan_ms) = plan_stage(
-            epochs,
-            job,
-            budget,
-            candidates_minutes,
-            config.memo.as_ref(),
-        )?;
+        let (plan, plan_ms) =
+            plan_stage(epochs, job, budget, candidates_minutes, &PlannerMemo::new())?;
         let t = Instant::now();
         let catalog = &epochs[job.epoch].catalog;
         let per_title = materialize_stage(catalog, &plan, job)?;
@@ -713,6 +585,7 @@ pub fn simulate_dynamic_sequential_with(
         epoch_plans,
         latencies,
         longest_media,
+        0,
     ))
 }
 
@@ -720,6 +593,7 @@ pub fn simulate_dynamic_sequential_with(
 mod tests {
     use super::*;
     use crate::catalog::Title;
+    use crate::planner::plan_weighted;
 
     fn catalog(n: usize) -> Catalog {
         Catalog::zipf(n, 1.0, &[100.0, 80.0])
@@ -959,39 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn every_depth_and_memo_combination_matches_the_default_spine() {
-        let epochs = [
-            Epoch {
-                start_minute: 0,
-                catalog: catalog(2),
-            },
-            Epoch {
-                start_minute: 300,
-                catalog: catalog(6),
-            },
-            Epoch {
-                start_minute: 700,
-                catalog: catalog(4),
-            },
-        ];
-        let baseline = simulate_dynamic_sequential(&epochs, 40, &CANDS, 1100).unwrap();
-        let shared = PlannerMemo::new();
-        for plan_ahead in [1usize, 2, 4, 16] {
-            for memo in [None, Some(shared.clone())] {
-                let config = DynamicConfig { plan_ahead, memo };
-                let got = simulate_dynamic_with(&epochs, 40, &CANDS, 1100, &config).unwrap();
-                assert_reports_identical(&got, &baseline);
-            }
-        }
-        // The sequential spine honors the memo too.
-        let config = DynamicConfig::default().with_memo(shared.clone());
-        let seq = simulate_dynamic_sequential_with(&epochs, 40, &CANDS, 1100, &config).unwrap();
-        assert_reports_identical(&seq, &baseline);
-        assert!(shared.hits() > 0, "overlapping catalogs must hit the memo");
-    }
-
-    #[test]
-    fn shared_memo_avoids_reanalysis_across_runs() {
+    fn repeated_catalog_hits_the_run_local_memo() {
         let epochs = [
             Epoch {
                 start_minute: 0,
@@ -1002,28 +844,14 @@ mod tests {
                 catalog: catalog(3),
             },
         ];
-        let memo = PlannerMemo::new();
-        let config = DynamicConfig::depth(2).with_memo(memo.clone());
-        let first = simulate_dynamic_with(&epochs, 30, &CANDS, 600, &config).unwrap();
-        let analyses = memo.misses();
-        assert!(analyses > 0);
-        let second = simulate_dynamic_with(&epochs, 30, &CANDS, 600, &config).unwrap();
-        assert_reports_identical(&first, &second);
-        assert_eq!(
-            memo.misses(),
-            analyses,
-            "the second run must be served entirely from the memo"
+        let report = simulate_dynamic(&epochs, 30, &CANDS, 600).unwrap();
+        assert!(
+            report.memo_hits > 0,
+            "the second epoch must reuse the first epoch's analyses"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "plan_ahead must be at least 1")]
-    fn zero_plan_ahead_panics() {
-        let epochs = [Epoch {
-            start_minute: 0,
-            catalog: catalog(1),
-        }];
-        let _ = simulate_dynamic_with(&epochs, 100, &CANDS, 100, &DynamicConfig::depth(0));
+        let seq = simulate_dynamic_sequential(&epochs, 30, &CANDS, 600).unwrap();
+        assert_eq!(seq.memo_hits, 0, "the reference spine is memo-free");
+        assert_reports_identical(&report, &seq);
     }
 
     #[test]

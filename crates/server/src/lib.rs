@@ -34,13 +34,12 @@
 //! [`admission`], exact stream materialization in [`dynamic`] — is sharded
 //! across threads with [`sm_core::parallel_map`]. Results are collected in
 //! input order, so every report is bit-identical to a sequential run. On
-//! top of that sharding, [`dynamic`] pipelines *across* epochs with
-//! [`sm_core::pipeline`]: planning runs up to
-//! [`DynamicConfig::plan_ahead`](dynamic::DynamicConfig) epochs ahead of
+//! top of that sharding, [`dynamic::simulate_dynamic`] pipelines *across*
+//! epochs with [`sm_core::pipeline`], planning up to two epochs ahead of
 //! materialization, with [`dynamic::simulate_dynamic_sequential`] kept as
-//! the bit-identical reference spine. The analyses themselves are cached
-//! in a [`memo::PlannerMemo`] — a shared cross-epoch (and cross-run)
-//! handle that pays for each distinct media length once.
+//! the memo-free, bit-identical reference spine. The planner's analyses
+//! are cached in a [`memo::PlannerMemo`], which a dynamic run keeps for
+//! all its epochs so each distinct media length is analyzed once per run.
 //!
 //! # Example
 //!
@@ -67,14 +66,11 @@ pub mod memo;
 pub mod planner;
 pub mod zipf;
 
-pub use admission::{
-    aggregate_profile, aggregate_profile_with, simulate_requests, AggregateReport, RequestReport,
-};
+pub use admission::{aggregate_profile, simulate_requests, AggregateReport, RequestReport};
 pub use catalog::{Catalog, Title};
 pub use dynamic::{
-    simulate_dynamic, simulate_dynamic_sequential, simulate_dynamic_sequential_with,
-    simulate_dynamic_with, DynamicConfig, DynamicError, DynamicReport, Epoch, EpochBreakdown,
-    EpochPlan,
+    simulate_dynamic, simulate_dynamic_sequential, DynamicError, DynamicReport, Epoch,
+    EpochBreakdown, EpochPlan,
 };
 pub use memo::PlannerMemo;
 pub use planner::{brute_force_plan, plan_weighted, plan_weighted_with, DelayPlan};

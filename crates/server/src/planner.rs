@@ -24,7 +24,7 @@
 //! — pay for each distinct media length once per memo lifetime. In the
 //! dynamic server this whole planner is additionally the *producer* stage
 //! of the cross-epoch pipeline (see [`crate::dynamic`]): epochs plan here
-//! up to `plan_ahead` epochs ahead of materialization.
+//! up to two epochs ahead of materialization, against one memo per run.
 //!
 //! ```
 //! use sm_server::{plan_weighted, Catalog};

@@ -4,9 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sm_server::{
-    plan_weighted, simulate_dynamic, simulate_dynamic_sequential, simulate_dynamic_sequential_with,
-    simulate_dynamic_with, simulate_requests, Catalog, DynamicConfig, DynamicError, DynamicReport,
-    Epoch, PlannerMemo, Title, Zipf,
+    plan_weighted, simulate_dynamic, simulate_dynamic_sequential, simulate_requests, Catalog,
+    DynamicReport, Epoch, Title, Zipf,
 };
 
 fn arb_catalog() -> impl Strategy<Value = Catalog> {
@@ -71,30 +70,14 @@ fn assert_dynamic_reports_identical(a: &DynamicReport, b: &DynamicReport) {
     }
 }
 
-/// Two outcomes (report or typed error) agree bit-for-bit.
-fn assert_outcomes_identical(
-    what: &str,
-    got: &Result<DynamicReport, DynamicError>,
-    baseline: &Result<DynamicReport, DynamicError>,
-) {
-    match (got, baseline) {
-        (Ok(a), Ok(b)) => {
-            if let Some(diff) = a.deterministic_diff(b) {
-                panic!("{what} diverges from the baseline: {diff}");
-            }
-        }
-        (Err(a), Err(b)) => assert_eq!(a, b, "{what}: different error than the baseline"),
-        (a, b) => panic!("{what} disagrees with the baseline: {a:?} vs {b:?}"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The pipelined dynamic spine is bit-identical to the sequential
+    /// The production dynamic spine — pipelined, carrying its run-local
+    /// memo across epochs — is bit-identical to the memo-free sequential
     /// reference on arbitrary multi-epoch catalogs — growing, shrinking,
-    /// popularity-flipping, under budget squeezes — including *which* error
-    /// fires when the budget is infeasible.
+    /// popularity-flipping, re-used verbatim, under budget squeezes —
+    /// including *which* error fires when the budget is infeasible.
     #[test]
     fn pipelined_dynamic_matches_sequential_spine(
         (epochs, budget, horizon) in arb_dynamic_scenario(),
@@ -117,41 +100,6 @@ proptest! {
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "spines disagree: {:?} vs {:?}", a, b),
         }
-    }
-
-    /// The full knob matrix is pinned against the memo-free sequential
-    /// spine: depth-K plan-ahead for K ∈ {1, 2, 4}, each with and without
-    /// a shared cross-run memo, plus the sequential spine carrying the
-    /// memo itself. Reports and typed errors must be bit-identical in
-    /// every cell — the knobs may only change wall-clock behavior. The
-    /// shared memo lives in a `static`, so it genuinely survives the whole
-    /// matrix *and* every generated case: a stale or mis-keyed cache entry
-    /// left by one scenario would surface as divergence in a later one.
-    #[test]
-    fn depth_k_and_memo_matrix_matches_sequential_spine(
-        (epochs, budget, horizon) in arb_dynamic_scenario(),
-    ) {
-        static SHARED: std::sync::OnceLock<PlannerMemo> = std::sync::OnceLock::new();
-        let cands = [1.0, 2.0, 4.0, 8.0, 16.0];
-        let baseline = simulate_dynamic_sequential(&epochs, budget, &cands, horizon);
-        let shared = SHARED.get_or_init(PlannerMemo::new).clone();
-        for plan_ahead in [1usize, 2, 4] {
-            for memo in [None, Some(shared.clone())] {
-                let label = format!(
-                    "pipelined K = {plan_ahead}, memo = {}",
-                    if memo.is_some() { "shared" } else { "none" }
-                );
-                let config = DynamicConfig { plan_ahead, memo };
-                let got = simulate_dynamic_with(&epochs, budget, &cands, horizon, &config);
-                assert_outcomes_identical(&label, &got, &baseline);
-            }
-        }
-        let config = DynamicConfig::default().with_memo(shared.clone());
-        let seq = simulate_dynamic_sequential_with(&epochs, budget, &cands, horizon, &config);
-        assert_outcomes_identical("sequential with shared memo", &seq, &baseline);
-        // Every case plans at least one epoch's smallest-delay lengths, so
-        // the shared memo must have performed real analyses by now.
-        prop_assert!(shared.misses() > 0);
     }
 
     /// The Zipf CDF is a proper distribution and sampling stays in range.

@@ -5,8 +5,9 @@
 //! and reports must flow out while the horizon is still growing. An
 //! off-line replay is the same computation fed an arrival sequence known
 //! in advance, so the batch API ([`super::simulate_with`],
-//! [`super::simulate_streaming`]) is a thin layer that pushes a ready-made
-//! `(forest, times)` pair through this engine ([`simulate_incremental`]).
+//! [`super::simulate_streaming_slice`]) is a thin layer that pushes a
+//! ready-made `(forest, times)` pair through this engine
+//! ([`simulate_incremental`]).
 //! [`IncrementalEngine`] works as follows:
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
@@ -169,8 +170,8 @@ pub struct StreamingSummary {
 /// [`StreamingSummary`] plus the ingest loop's own memory gauge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncrementalSummary {
-    /// Bit-identical to what [`super::simulate_streaming`] returns for the
-    /// same arrivals.
+    /// Bit-identical to what [`super::simulate_streaming_slice`] returns
+    /// for the same arrivals.
     pub summary: StreamingSummary,
     /// High-water mark of simultaneously retained trees (the open tree
     /// plus closed trees with clients still inside their playback
@@ -509,7 +510,7 @@ impl IncrementalEngine {
 
 /// Replays a batch `(forest, times)` pair through the push interface, in
 /// global arrival order — the path every batch entry point
-/// ([`super::simulate_with`], [`super::simulate_streaming`]) takes on
+/// ([`super::simulate_with`], [`super::simulate_streaming_slice`]) takes on
 /// sorted times.
 ///
 /// `times` must be nondecreasing (the push interface's clock contract);

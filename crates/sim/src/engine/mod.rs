@@ -16,7 +16,7 @@
 //!
 //! The batch API in this module is a thin layer over the two: on
 //! nondecreasing arrival times (every real workload)
-//! [`simulate_with`] with [`Engine::Events`], [`simulate_streaming`] and
+//! [`simulate_with`] with [`Engine::Events`] and
 //! [`simulate_streaming_slice`] replay the `(forest, times)` pair through
 //! [`simulate_incremental`]; globally unsorted times, which only tests
 //! build, run the dense oracle. Both engines produce bit-identical reports
@@ -163,25 +163,8 @@ fn replay_sorted<F: FnMut(ClientReport)>(
         .map_err(SimError::from)
 }
 
-/// One client arrival — the unit the streaming API ingests.
-///
-/// Thin today (a slot time), but a named type so arrival sources (slices,
-/// generators, sockets) and the engine agree on a vocabulary that can grow
-/// fields without breaking every `IntoIterator` in between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Arrival {
-    /// Arrival slot.
-    pub time: i64,
-}
-
-impl From<i64> for Arrival {
-    fn from(time: i64) -> Self {
-        Self { time }
-    }
-}
-
-/// Simulation with streaming per-client reports, fed by any arrival source
-/// (`Vec`, generator adaptors — `(0..n).map(Arrival::from)` works).
+/// Simulation with streaming per-client reports over an arrival-times
+/// slice.
 ///
 /// `emit` is called once per client, in part-deadline order (`t_c + L`,
 /// ties by arrival index). On nondecreasing arrival times (the model's
@@ -196,23 +179,6 @@ impl From<i64> for Arrival {
 /// `config.buffer_bound` is honored; `config.engine` is ignored.
 ///
 /// Returns the whole-run aggregates.
-pub fn simulate_streaming<I, F>(
-    forest: &MergeForest,
-    arrivals: I,
-    media_len: u64,
-    config: SimConfig,
-    emit: F,
-) -> Result<StreamingSummary, SimError>
-where
-    I: IntoIterator<Item = Arrival>,
-    F: FnMut(ClientReport),
-{
-    let times: Vec<i64> = arrivals.into_iter().map(|a| a.time).collect();
-    simulate_streaming_slice(forest, &times, media_len, config, emit)
-}
-
-/// The batch-slice form of [`simulate_streaming`]: zero-copy over an
-/// already-materialized times slice. Semantics are identical.
 pub fn simulate_streaming_slice<F: FnMut(ClientReport)>(
     forest: &MergeForest,
     times: &[i64],
@@ -495,14 +461,9 @@ mod tests {
         let forest = MergeForest::single(MergeTree::chain(c));
         let times = consecutive_slots(c);
         let mut reports = Vec::new();
-        // The iterator entry point, exercised over a generator source.
-        let summary = simulate_streaming(
-            &forest,
-            times.iter().copied().map(Arrival::from),
-            media,
-            SimConfig::events(),
-            |r| reports.push(r),
-        )
+        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::events(), |r| {
+            reports.push(r)
+        })
         .unwrap();
         assert_eq!(reports.len(), c);
         assert_eq!(summary.total_units, full_cost(&forest, &times, media));

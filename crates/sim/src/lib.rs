@@ -23,8 +23,8 @@
 //!
 //! One production engine does the work: the push-based
 //! [`IncrementalEngine`], which serves arrivals one at a time. The batch
-//! API ([`simulate`], [`simulate_with`], [`simulate_streaming`]) replays a
-//! known `(forest, times)` pair through it, and the slot-stepped
+//! API ([`simulate`], [`simulate_with`], [`simulate_streaming_slice`])
+//! replays a known `(forest, times)` pair through it, and the slot-stepped
 //! [`engine::dense`] oracle checks it (see [`engine`]).
 
 pub mod channels;
@@ -37,9 +37,9 @@ pub mod schedule;
 pub use channels::{assign_channels, ChannelPlan};
 pub use continuous::{verify_continuous, ContinuousError};
 pub use engine::{
-    simulate, simulate_incremental, simulate_streaming, simulate_streaming_slice, simulate_with,
-    Arrival, Attach, ClientReport, Engine, IncrementalEngine, IncrementalSummary, IngestError,
-    SimConfig, SimReport, StreamingSummary,
+    simulate, simulate_incremental, simulate_streaming_slice, simulate_with, Attach, ClientReport,
+    Engine, IncrementalEngine, IncrementalSummary, IngestError, SimConfig, SimReport,
+    StreamingSummary,
 };
 pub use error::SimError;
 pub use metrics::BandwidthProfile;

@@ -7,14 +7,14 @@
 //! times every batch entry point replays through the push-based
 //! incremental engine, so each case holds three surfaces of that engine
 //! against the dense oracle: the collected `simulate_with` report, the
-//! streaming API (`simulate_streaming`, fed through its `IntoIterator`
-//! entry point: summary, reports, emission order, first error), and
+//! streaming API (`simulate_streaming_slice`: summary, reports, emission
+//! order, first error), and
 //! `simulate_incremental` itself (the same, plus its retention bound).
 
 use proptest::prelude::*;
 use sm_core::{consecutive_slots, MergeForest, MergeTree};
 use sm_sim::{
-    simulate_incremental, simulate_streaming, simulate_with, Arrival, ClientReport, IngestError,
+    simulate_incremental, simulate_streaming_slice, simulate_with, ClientReport, IngestError,
     SimConfig, SimError, SimReport,
 };
 
@@ -60,11 +60,9 @@ fn run_streaming(
     Vec<ClientReport>,
 ) {
     let mut emitted = Vec::new();
-    // Through the iterator entry point, so every equivalence case also
-    // exercises the `impl IntoIterator<Item = Arrival>` API surface.
-    let summary = simulate_streaming(
+    let summary = simulate_streaming_slice(
         forest,
-        times.iter().copied().map(Arrival::from),
+        times,
         media_len,
         SimConfig {
             buffer_bound,

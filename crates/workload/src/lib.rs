@@ -16,7 +16,6 @@ pub mod bursty;
 pub mod deep_chain;
 pub mod diurnal;
 pub mod flash_crowd;
-pub mod scenario;
 pub mod stats;
 
 pub use arrivals::{ArrivalProcess, ConstantRate, PoissonProcess};
@@ -24,5 +23,4 @@ pub use bursty::BurstyProcess;
 pub use deep_chain::{deep_chain_forest, max_feasible_chain};
 pub use diurnal::DiurnalProcess;
 pub use flash_crowd::FlashCrowd;
-pub use scenario::Scenario;
 pub use stats::Summary;

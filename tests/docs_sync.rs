@@ -79,7 +79,7 @@ fn architecture_documents_the_runtime_pieces() {
         "engine::dense",
         "engine::incremental",
         "ScheduleStream",
-        "simulate_streaming",
+        "simulate_streaming_slice",
         "simulate_incremental",
         "IncrementalEngine",
         "sm-serve",
@@ -97,8 +97,7 @@ fn architecture_documents_the_runtime_pieces() {
         "parallel_map",
         "DynamicError",
         "EpochBreakdown",
-        "DynamicConfig",
-        "plan_ahead",
+        "memo_hits",
         "PlannerMemo",
     ] {
         assert!(arch.contains(piece), "ARCHITECTURE.md must cover {piece}");
