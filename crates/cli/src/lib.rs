@@ -22,6 +22,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
+use sm_fib::{FIB, MAX_FIB_INDEX_U64};
+
 pub mod render;
 
 /// Errors surfaced to the user (printed to stderr, exit code 2).
@@ -94,6 +96,23 @@ fn positive(n: u64, arg: &str) -> Result<u64, CliError> {
     Ok(n)
 }
 
+/// The largest `n` whose `M(n)` fits in a `u64` (so also `n < F_92`, which
+/// Eq. (6)'s `F_{k+2}` needs).
+const MAX_MCOST_N: u64 = 227_312_532_704_060_738;
+
+/// The largest `L` with `L + 2 ≤ F_93`, the domain of Theorem 12's `h`.
+const MAX_MEDIA_LEN: u64 = FIB[MAX_FIB_INDEX_U64] - 2;
+
+fn at_most(n: u64, max: u64, arg: &str) -> Result<u64, CliError> {
+    if n > max {
+        return Err(CliError::BadArgument {
+            arg: arg.to_string(),
+            reason: format!("must be at most {max}"),
+        });
+    }
+    Ok(n)
+}
+
 /// Dispatches a full argument vector (without the program name).
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let mut it = args.iter().map(String::as_str);
@@ -101,6 +120,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         None | Some("help") | Some("--help") | Some("-h") => Ok(usage()),
         Some("mcost") => {
             let n = positive(parse(required(&mut it, "n")?, "a positive integer")?, "n")?;
+            let n = at_most(n, MAX_MCOST_N, "n")?;
             Ok(render::mcost(n))
         }
         Some("tree") => {
@@ -109,6 +129,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some("plan") => {
             let l = positive(parse(required(&mut it, "L")?, "a positive integer")?, "L")?;
+            let l = at_most(l, MAX_MEDIA_LEN, "L")?;
             let n = positive(parse(required(&mut it, "n")?, "a positive integer")?, "n")?;
             Ok(render::plan(l, n))
         }
@@ -131,6 +152,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some("online") => {
             let l = positive(parse(required(&mut it, "L")?, "a positive integer")?, "L")?;
+            let l = at_most(l, MAX_MEDIA_LEN, "L")?;
             let n = positive(
                 parse(required(&mut it, "horizon")?, "a positive integer")?,
                 "horizon",
@@ -309,6 +331,37 @@ mod tests {
             run_args(&["mcost", "0"]),
             Err(CliError::BadArgument { .. })
         ));
+        // Past the u64 Fibonacci table (or M(n) past u64): rejected, not an
+        // index panic or a wrapped cost.
+        let huge = u64::MAX.to_string();
+        let n_over = (MAX_MCOST_N + 1).to_string();
+        let l_over = (MAX_MEDIA_LEN + 1).to_string();
+        for bad in [
+            vec!["mcost", huge.as_str()],
+            vec!["mcost", n_over.as_str()],
+            vec!["plan", huge.as_str(), "10"],
+            vec!["plan", l_over.as_str(), "10"],
+            vec!["online", huge.as_str(), "10"],
+        ] {
+            assert!(
+                matches!(run_args(&bad), Err(CliError::BadArgument { .. })),
+                "{bad:?} should be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn input_bounds_are_tight() {
+        // M(n) by Eq. (6) in i128: the bound is the last n it fits a u64.
+        let m = |n: u64| {
+            let k = sm_fib::largest_index_le(n);
+            (k as i128 - 1) * n as i128 - sm_fib::fib(k + 2) as i128 + 2
+        };
+        assert!(m(MAX_MCOST_N) <= u64::MAX as i128);
+        assert!(m(MAX_MCOST_N + 1) > u64::MAX as i128);
+        assert!(run_args(&["mcost", &MAX_MCOST_N.to_string()]).is_ok());
+        // L + 2 = F_93 is the last L Theorem 12 covers.
+        assert_eq!(sm_fib::theorem12_h(MAX_MEDIA_LEN), 91);
     }
 
     #[test]

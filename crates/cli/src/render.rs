@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use crate::{table, CliError};
 use sm_core::{consecutive_slots, diagram, full_cost, ReceivingProgram};
-use sm_offline::closed_form::ClosedForm;
+use sm_offline::closed_form::{last_merge_interval, merge_cost};
 use sm_offline::forest::optimal_forest;
 use sm_offline::tree_builder::optimal_merge_tree;
 use sm_offline::{dp, receive_all};
@@ -12,13 +12,12 @@ use sm_online::delay_guaranteed::online_full_cost;
 
 /// `smctl mcost <n>`.
 pub fn mcost(n: u64) -> String {
-    let cf = ClosedForm::new();
-    let (lo, hi) = cf.last_merge_interval(n.max(2));
+    let (lo, hi) = last_merge_interval(n.max(2));
     let mut out = String::new();
     let _ = writeln!(
         out,
         "M({n}) = {}   (receive-two optimal merge cost)",
-        cf.merge_cost(n)
+        merge_cost(n)
     );
     let _ = writeln!(
         out,
@@ -61,11 +60,11 @@ pub fn plan(media_len: u64, n: u64) -> String {
         "  average bandwidth: {:.3} streams",
         plan.cost as f64 / n as f64
     );
+    let batching = u128::from(n) * u128::from(media_len);
     let _ = writeln!(
         out,
-        "  plain batching would cost {} (x{:.2})",
-        n * media_len,
-        (n * media_len) as f64 / plan.cost as f64
+        "  plain batching would cost {batching} (x{:.2})",
+        batching as f64 / plan.cost as f64
     );
     out
 }
@@ -121,9 +120,8 @@ pub fn program(media_len: u64, n: u64, client: u64) -> String {
 
 /// `smctl online <L> <horizon>`.
 pub fn online(media_len: u64, horizon: u64) -> String {
-    let cf = ClosedForm::new();
-    let h = cf.fib().theorem12_h(media_len);
-    let fh = cf.fib().get(h);
+    let h = sm_fib::theorem12_h(media_len);
+    let fh = sm_fib::fib(h);
     let online = online_full_cost(media_len, horizon);
     let offline = sm_offline::forest::optimal_full_cost(media_len, horizon);
     let mut out = String::new();

@@ -2,11 +2,9 @@
 //! bound B shrinks below L/2 (Theorem 16's regime).
 
 use sm_experiments::output::{render_table, results_dir, write_csv};
-use sm_offline::closed_form::ClosedForm;
 use sm_offline::forest::{optimal_full_cost, optimal_s_bounded_buffer};
 
 fn main() {
-    let cf = ClosedForm::new();
     let media_len = 100u64;
     let n = 10_000u64;
     let unbounded = optimal_full_cost(media_len, n);
@@ -16,7 +14,7 @@ fn main() {
     let buffers = [1u64, 2, 3, 5, 8, 13, 21, 34, 49, 50];
     let mut rows = Vec::new();
     for &b in &buffers {
-        let (s, cost) = optimal_s_bounded_buffer(&cf, media_len, n, b);
+        let (s, cost) = optimal_s_bounded_buffer(media_len, n, b);
         rows.push(vec![
             b.to_string(),
             s.to_string(),

@@ -2,7 +2,8 @@
 //! regenerated from the Theorem-3 closed form and cross-checked against the
 //! `O(n²)` DP.
 
-use sm_offline::closed_form::ClosedForm;
+use sm_fib::{decompose, fib};
+use sm_offline::closed_form::last_merge_interval;
 use sm_offline::dp;
 
 /// One row of the Fig. 8 table.
@@ -20,14 +21,13 @@ pub struct Fig8Row {
 
 /// Computes the table for `2..=max_n` (the paper shows 55).
 pub fn compute(max_n: u64) -> Vec<Fig8Row> {
-    let cf = ClosedForm::new();
     (2..=max_n)
         .map(|n| {
-            let (lo, hi) = cf.last_merge_interval(n);
-            let (k, m) = cf.fib().decompose(n);
-            let regime = if m <= cf.fib().get(k - 3) {
+            let (lo, hi) = last_merge_interval(n);
+            let (k, m) = decompose(n);
+            let regime = if m <= fib(k - 3) {
                 1
-            } else if m <= cf.fib().get(k - 2) {
+            } else if m <= fib(k - 2) {
                 2
             } else {
                 3

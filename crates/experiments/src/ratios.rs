@@ -3,7 +3,6 @@
 
 use sm_core::parallel_map;
 use sm_offline::bounds;
-use sm_offline::closed_form::ClosedForm;
 use sm_offline::receive_all;
 use sm_online::analysis;
 
@@ -22,11 +21,10 @@ pub struct ModelRatioRow {
 
 /// Computes Theorem 19 rows over a geometric `n` grid.
 pub fn theorem19_rows() -> Vec<ModelRatioRow> {
-    let cf = ClosedForm::new();
     let mut n = 16u64;
     let mut rows = Vec::new();
     while n <= 1u64 << 34 {
-        let m_two = cf.merge_cost(n);
+        let m_two = sm_offline::merge_cost(n);
         let m_all = receive_all::merge_cost(n);
         rows.push(ModelRatioRow {
             n,
@@ -43,9 +41,8 @@ pub fn theorem19_rows() -> Vec<ModelRatioRow> {
 pub fn theorem20_rows() -> Vec<(u64, f64)> {
     let ls = [10u64, 100, 1_000, 10_000, 100_000];
     parallel_map(&ls, |&media_len| {
-        let cf = ClosedForm::new();
         let n = media_len * 300;
-        let two = sm_offline::forest::optimal_full_cost_with(&cf, media_len, n) as f64;
+        let two = sm_offline::optimal_full_cost(media_len, n) as f64;
         let all = receive_all::optimal_full_cost(media_len, n) as f64;
         (media_len, two / all)
     })
@@ -56,11 +53,10 @@ pub fn theorem20_rows() -> Vec<(u64, f64)> {
 pub fn theorem14_rows() -> Vec<(u64, f64, f64)> {
     let ls = [10u64, 30, 100, 300, 1_000, 3_000, 10_000];
     parallel_map(&ls, |&media_len| {
-        let cf = ClosedForm::new();
         let n = media_len * 100;
         (
             media_len,
-            bounds::batching_gain(&cf, media_len, n),
+            bounds::batching_gain(media_len, n),
             bounds::batching_gain_predicted(media_len),
         )
     })

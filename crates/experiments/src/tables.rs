@@ -2,17 +2,15 @@
 //! trees of Figs. 6/7, and the worked numeric examples of §2/§3.2.
 
 use sm_core::{consecutive_slots, merge_cost as model_merge_cost};
-use sm_offline::closed_form::ClosedForm;
 use sm_offline::dp;
 use sm_offline::receive_all;
 use sm_offline::tree_builder::{fibonacci_merge_tree, optimal_merge_tree};
 
 /// `M(n)` for `1..=max_n`, closed form + DP (they must agree).
 pub fn mn_table(max_n: usize) -> Vec<(u64, u64, u64)> {
-    let cf = ClosedForm::new();
     let dp_table = dp::merge_cost_table(max_n);
     (1..=max_n)
-        .map(|n| (n as u64, cf.merge_cost(n as u64), dp_table[n]))
+        .map(|n| (n as u64, sm_offline::merge_cost(n as u64), dp_table[n]))
         .collect()
 }
 
@@ -62,16 +60,16 @@ pub fn fig6_trees() -> Vec<(String, u64)> {
 /// Worked numeric examples from the text, as `(label, got, expected)`.
 pub fn text_examples() -> Vec<(&'static str, u64, u64)> {
     use sm_offline::forest::{full_cost_given_s, optimal_full_cost};
-    let cf = ClosedForm::new();
+    use sm_offline::merge_cost;
     vec![
         ("Fcost(L=15, n=8)", optimal_full_cost(15, 8), 36),
         ("Fcost(L=15, n=14)", optimal_full_cost(15, 14), 64),
-        ("F(4,16,s=4)", full_cost_given_s(&cf, 4, 16, 4), 40),
-        ("F(4,16,s=5)", full_cost_given_s(&cf, 4, 16, 5), 38),
-        ("F(4,16,s=6)", full_cost_given_s(&cf, 4, 16, 6), 38),
-        ("M(8) (Fig. 4)", cf.merge_cost(8), 21),
-        ("Mcost left subtree of Fig. 4", cf.merge_cost(5), 9),
-        ("Mcost right subtree of Fig. 4", cf.merge_cost(3), 3),
+        ("F(4,16,s=4)", full_cost_given_s(4, 16, 4), 40),
+        ("F(4,16,s=5)", full_cost_given_s(4, 16, 5), 38),
+        ("F(4,16,s=6)", full_cost_given_s(4, 16, 6), 38),
+        ("M(8) (Fig. 4)", merge_cost(8), 21),
+        ("Mcost left subtree of Fig. 4", merge_cost(5), 9),
+        ("Mcost right subtree of Fig. 4", merge_cost(3), 3),
     ]
 }
 

@@ -9,22 +9,21 @@
 //!
 //! This crate provides the exact integer machinery those results need:
 //!
-//! * [`fib`] / [`fib_u128`] — exact Fibonacci numbers (iteratively, `O(k)`)
-//!   and [`fib_fast_doubling`] (`O(log k)`), with the paper's indexing
-//!   `F_0 = 0, F_1 = 1, F_2 = 1, …`;
-//! * [`FibTable`] — a precomputed table with rank queries
-//!   (`largest_index_le`, `smallest_index_ge`) used on the hot paths of the
-//!   closed-form algorithms;
-//! * [`zeckendorf()`] — the unique representation of `n` as a sum of
-//!   non-adjacent Fibonacci numbers (used by property tests and by the
-//!   diagnostics in `sm-experiments`);
+//! * [`FIB`] — the compile-time table `F_0 ..= F_93` of every Fibonacci
+//!   number that fits in a `u64`, with the paper's indexing
+//!   `F_0 = 0, F_1 = 1, F_2 = 1, …`; [`fib`] is a checked lookup into it;
+//! * rank queries over the table: [`largest_index_le`], the paper's
+//!   `n = F_k + m` split [`decompose`], and Theorem 12's [`theorem12_h`];
+//! * [`fib_fast_doubling`] (`O(log k)`) and [`binet_approx`], independent
+//!   computations the table is tested against;
 //! * [`golden`] — golden-ratio asymptotics (`log_φ`, Binet bounds) backing the
 //!   paper's Theorems 8, 13, 19 and 20.
 
 pub mod golden;
 pub mod seq;
-pub mod zeckendorf;
 
 pub use golden::{binet_approx, log_phi, PHI, PHI_HAT, SQRT5};
-pub use seq::{fib, fib_fast_doubling, fib_u128, is_fibonacci, FibTable, MAX_FIB_INDEX_U64};
-pub use zeckendorf::{zeckendorf, ZeckendorfIter};
+pub use seq::{
+    decompose, fib, fib_fast_doubling, is_fibonacci, largest_index_le, theorem12_h, FIB,
+    MAX_FIB_INDEX_U64,
+};

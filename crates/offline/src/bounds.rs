@@ -1,9 +1,8 @@
-//! Asymptotic envelopes from the paper (Theorems 8, 13, 14, 19, 20),
+//! Asymptotic envelopes from the paper (Theorems 8, 13, 14; the Theorem
+//! 19/20 ratio is [`crate::receive_all::merge_cost_ratio`]),
 //! exposed as plain functions so tests, benches and experiment annotations
 //! can compare measured costs against the predicted growth.
 
-use crate::closed_form::ClosedForm;
-use crate::receive_all;
 use sm_fib::log_phi;
 
 /// Theorem 8 upper envelope: `M(n) ≤ n·log_φ n` (Eq. (9), for n ≥ 1).
@@ -34,9 +33,9 @@ pub fn theorem13_principal(media_len: u64, n: u64) -> f64 {
 
 /// Theorem 14: the advantage of stream merging over plain batching is
 /// `Θ(L / log L)`; this returns the measured ratio `n·L / F(L,n)`.
-pub fn batching_gain(cf: &ClosedForm, media_len: u64, n: u64) -> f64 {
+pub fn batching_gain(media_len: u64, n: u64) -> f64 {
     let batching = (n as u128 * media_len as u128) as f64;
-    let merging = crate::forest::optimal_full_cost_with(cf, media_len, n) as f64;
+    let merging = crate::forest::optimal_full_cost(media_len, n) as f64;
     batching / merging
 }
 
@@ -48,21 +47,15 @@ pub fn batching_gain_predicted(media_len: u64) -> f64 {
     media_len as f64 / log_phi(media_len as f64)
 }
 
-/// Theorems 19/20 measured merge-cost ratio `M(n)/Mω(n)`.
-pub fn receive_model_ratio(cf: &ClosedForm, n: u64) -> f64 {
-    receive_all::merge_cost_ratio(cf, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn theorem8_envelopes_hold() {
-        let cf = ClosedForm::new();
         for exp in 1..=12u32 {
             let n = 7u64.pow(exp).min(10_000_000_000);
-            let m = cf.merge_cost(n) as f64;
+            let m = crate::closed_form::merge_cost(n) as f64;
             assert!(m <= theorem8_upper(n) + 1e-6, "n = {n}");
             assert!(m >= theorem8_lower(n) - 1e-6, "n = {n}");
         }
@@ -70,10 +63,9 @@ mod tests {
 
     #[test]
     fn theorem13_principal_tracks_measured() {
-        let cf = ClosedForm::new();
         for media_len in [50u64, 200, 1000] {
             let n = media_len * 1000;
-            let f = crate::forest::optimal_full_cost_with(&cf, media_len, n) as f64;
+            let f = crate::forest::optimal_full_cost(media_len, n) as f64;
             let p = theorem13_principal(media_len, n);
             assert!((f / p - 1.0).abs() < 0.5, "L = {media_len}: {} vs {}", f, p);
         }
@@ -81,11 +73,10 @@ mod tests {
 
     #[test]
     fn batching_gain_grows_like_l_over_log_l() {
-        let cf = ClosedForm::new();
         let mut prev_ratio = 0.0;
         for media_len in [10u64, 100, 1000, 10_000] {
             let n = media_len * 100;
-            let gain = batching_gain(&cf, media_len, n);
+            let gain = batching_gain(media_len, n);
             let predicted = batching_gain_predicted(media_len);
             let ratio = gain / predicted;
             // The constant is implementation-defined but must stabilise.
@@ -97,10 +88,9 @@ mod tests {
 
     #[test]
     fn batching_never_beats_merging() {
-        let cf = ClosedForm::new();
         for media_len in [2u64, 5, 20, 100] {
             for n in [1u64, 10, 100, 1000] {
-                assert!(batching_gain(&cf, media_len, n) >= 1.0 - 1e-12);
+                assert!(batching_gain(media_len, n) >= 1.0 - 1e-12);
             }
         }
     }

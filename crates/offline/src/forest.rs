@@ -12,8 +12,8 @@
 //! minimizing `s` is `s₁ = ⌊n/F_h⌋` or `s₁+1`, where `F_{h+1} < L+2 ≤
 //! F_{h+2}` (clamped below by `s₀ = ⌈n/L⌉`).
 
-use crate::closed_form::ClosedForm;
-use crate::tree_builder::optimal_merge_tree_with;
+use crate::closed_form::merge_cost;
+use crate::tree_builder::optimal_merge_tree;
 use sm_core::{MergeForest, MergeTree};
 
 /// A computed optimal (or constrained-optimal) forest plan.
@@ -29,11 +29,11 @@ pub struct OptimalForestPlan {
 
 /// `F(L, n, s)` by Lemma 9. Purely arithmetic — does not check that tree
 /// sizes fit the media (`p ≤ L`); see [`s_is_feasible`].
-pub fn full_cost_given_s(cf: &ClosedForm, media_len: u64, n: u64, s: u64) -> u64 {
+pub fn full_cost_given_s(media_len: u64, n: u64, s: u64) -> u64 {
     assert!(s >= 1 && s <= n, "need 1 <= s <= n (got s = {s}, n = {n})");
     let p = n / s;
     let r = n - p * s;
-    s * media_len + r * cf.merge_cost(p + 1) + (s - r) * cf.merge_cost(p)
+    s * media_len + r * merge_cost(p + 1) + (s - r) * merge_cost(p)
 }
 
 /// Whether `s` full streams yield feasible trees: every tree must satisfy
@@ -58,10 +58,9 @@ pub fn min_streams(media_len: u64, n: u64) -> u64 {
 ///
 /// # Panics
 /// Panics if `n == 0` or `media_len == 0`.
-pub fn optimal_s(cf: &ClosedForm, media_len: u64, n: u64) -> u64 {
+pub fn optimal_s(media_len: u64, n: u64) -> u64 {
     assert!(n >= 1 && media_len >= 1);
-    let h = cf.fib().theorem12_h(media_len);
-    let fh = cf.fib().get(h);
+    let fh = sm_fib::fib(sm_fib::theorem12_h(media_len));
     let s0 = min_streams(media_len, n);
     let s1 = n / fh;
     if s0 > s1 {
@@ -73,8 +72,8 @@ pub fn optimal_s(cf: &ClosedForm, media_len: u64, n: u64) -> u64 {
     if s1 >= n {
         return n;
     }
-    let f_a = full_cost_given_s(cf, media_len, n, s1);
-    let f_b = full_cost_given_s(cf, media_len, n, s1 + 1);
+    let f_a = full_cost_given_s(media_len, n, s1);
+    let f_b = full_cost_given_s(media_len, n, s1 + 1);
     // The paper's rule: "if the former value is smaller, then s1 minimizes
     // F(L,n,s), otherwise s1+1 does" — ties go to s1+1 (more, smaller trees).
     if f_a < f_b {
@@ -84,42 +83,35 @@ pub fn optimal_s(cf: &ClosedForm, media_len: u64, n: u64) -> u64 {
     }
 }
 
-/// `F(L, n)`: the optimal full cost (Theorem 12 + Lemma 9), `O(1)` after
-/// table setup.
-pub fn optimal_full_cost_with(cf: &ClosedForm, media_len: u64, n: u64) -> u64 {
+/// `F(L, n)`: the optimal full cost (Theorem 12 + Lemma 9), `O(1)`.
+pub fn optimal_full_cost(media_len: u64, n: u64) -> u64 {
     if n == 0 {
         return 0;
     }
-    full_cost_given_s(cf, media_len, n, optimal_s(cf, media_len, n))
-}
-
-/// Convenience wrapper around [`optimal_full_cost_with`].
-pub fn optimal_full_cost(media_len: u64, n: u64) -> u64 {
-    optimal_full_cost_with(&ClosedForm::new(), media_len, n)
+    full_cost_given_s(media_len, n, optimal_s(media_len, n))
 }
 
 /// Builds an optimal merge forest for `n` consecutive arrivals (Theorem 10):
 /// `r` trees of `p+1` arrivals followed by `s−r` trees of `p` arrivals,
 /// each an optimal merge tree.
 pub fn optimal_forest(media_len: u64, n: usize) -> OptimalForestPlan {
-    let cf = ClosedForm::new();
-    let s = optimal_s(&cf, media_len, n as u64);
-    forest_with_s(&cf, media_len, n, s)
+    let s = optimal_s(media_len, n as u64);
+    forest_with_s(media_len, n, s)
 }
 
 /// Builds the balanced forest for a *given* `s` (the placement step of
 /// Theorem 10).
-pub fn forest_with_s(cf: &ClosedForm, media_len: u64, n: usize, s: u64) -> OptimalForestPlan {
+pub fn forest_with_s(media_len: u64, n: usize, s: u64) -> OptimalForestPlan {
     assert!(s >= 1 && s <= n as u64);
     let p = n as u64 / s;
     let r = n as u64 - p * s;
     let big = if r > 0 {
-        Some(optimal_merge_tree_with(cf, (p + 1) as usize))
+        Some(optimal_merge_tree((p + 1) as usize))
     } else {
         None
     };
     let small = if s - r > 0 {
-        Some(optimal_merge_tree_with(cf, p as usize))
+        Some(optimal_merge_tree(p as usize))
     } else {
         None
     };
@@ -131,19 +123,19 @@ pub fn forest_with_s(cf: &ClosedForm, media_len: u64, n: usize, s: u64) -> Optim
         trees.push(small.clone().expect("s > r implies small tree"));
     }
     let forest = MergeForest::from_trees(trees).expect("s >= 1 trees");
-    let cost = full_cost_given_s(cf, media_len, n as u64, s);
+    let cost = full_cost_given_s(media_len, n as u64, s);
     OptimalForestPlan { forest, s, cost }
 }
 
 /// Brute-force optimum over all feasible `s` — `O(n)` reference for tests.
-pub fn brute_force_optimal_s(cf: &ClosedForm, media_len: u64, n: u64) -> (u64, u64) {
+pub fn brute_force_optimal_s(media_len: u64, n: u64) -> (u64, u64) {
     assert!(n >= 1);
     let mut best = (u64::MAX, 0u64);
     for s in 1..=n {
         if !s_is_feasible(media_len, n, s) {
             continue;
         }
-        let f = full_cost_given_s(cf, media_len, n, s);
+        let f = full_cost_given_s(media_len, n, s);
         if f < best.0 {
             best = (f, s);
         }
@@ -177,25 +169,19 @@ pub fn max_tree_size_for_buffer(media_len: u64, buffer: u64) -> u64 {
 ///
 /// The shape argument of Lemma 11 (non-increasing then non-decreasing in
 /// `s`) makes the constrained optimum `max(s_unconstrained, ⌈n/size_cap⌉)`.
-pub fn optimal_s_bounded_buffer(
-    cf: &ClosedForm,
-    media_len: u64,
-    n: u64,
-    buffer: u64,
-) -> (u64, u64) {
+pub fn optimal_s_bounded_buffer(media_len: u64, n: u64, buffer: u64) -> (u64, u64) {
     assert!(n >= 1);
     let cap = max_tree_size_for_buffer(media_len, buffer);
     let s_min = n.div_ceil(cap);
-    let s_unc = optimal_s(cf, media_len, n);
+    let s_unc = optimal_s(media_len, n);
     let s = s_unc.max(s_min);
-    (s, full_cost_given_s(cf, media_len, n, s))
+    (s, full_cost_given_s(media_len, n, s))
 }
 
 /// Builds the bounded-buffer optimal forest (Theorem 16).
 pub fn optimal_forest_bounded_buffer(media_len: u64, n: usize, buffer: u64) -> OptimalForestPlan {
-    let cf = ClosedForm::new();
-    let (s, _) = optimal_s_bounded_buffer(&cf, media_len, n as u64, buffer);
-    forest_with_s(&cf, media_len, n, s)
+    let (s, _) = optimal_s_bounded_buffer(media_len, n as u64, buffer);
+    forest_with_s(media_len, n, s)
 }
 
 #[cfg(test)]
@@ -203,23 +189,17 @@ mod tests {
     use super::*;
     use sm_core::{consecutive_slots, full_cost, validate_forest, ValidationOptions};
 
-    fn cf() -> ClosedForm {
-        ClosedForm::new()
-    }
-
     #[test]
     fn paper_example_l15_n8() {
         // §2: Fcost = 36 with s = 1.
-        let cf = cf();
-        assert_eq!(optimal_s(&cf, 15, 8), 1);
+        assert_eq!(optimal_s(15, 8), 1);
         assert_eq!(optimal_full_cost(15, 8), 36);
     }
 
     #[test]
     fn paper_example_l15_n14() {
         // §2: s = 2, Fcost = 30 + 17 + 17 = 64.
-        let cf = cf();
-        assert_eq!(optimal_s(&cf, 15, 14), 2);
+        assert_eq!(optimal_s(15, 14), 2);
         assert_eq!(optimal_full_cost(15, 14), 64);
         let plan = optimal_forest(15, 14);
         assert_eq!(plan.forest.sizes(), vec![7, 7]);
@@ -229,39 +209,36 @@ mod tests {
     fn paper_example_l4_n16() {
         // §3.2 end: L = 4 -> h = 4, F_h = 3; n = 16 -> s0 = 4, s1 = 5,
         // F(L,n,4) = 40, F(L,n,5) = F(L,n,6) = 38.
-        let cf = cf();
-        assert_eq!(full_cost_given_s(&cf, 4, 16, 4), 40);
-        assert_eq!(full_cost_given_s(&cf, 4, 16, 5), 38);
-        assert_eq!(full_cost_given_s(&cf, 4, 16, 6), 38);
+        assert_eq!(full_cost_given_s(4, 16, 4), 40);
+        assert_eq!(full_cost_given_s(4, 16, 5), 38);
+        assert_eq!(full_cost_given_s(4, 16, 6), 38);
         // Both s1 = 5 and s1+1 = 6 are optimal; the paper's procedure (and
         // ours) settles ties in favour of s1+1.
-        assert_eq!(optimal_s(&cf, 4, 16), 6);
+        assert_eq!(optimal_s(4, 16), 6);
         assert_eq!(optimal_full_cost(4, 16), 38);
     }
 
     #[test]
     fn extreme_cases_from_paper() {
-        let cf = cf();
         // L = 1: every slot needs its own full stream; F = n.
         for n in 1..=50u64 {
-            assert_eq!(optimal_s(&cf, 1, n), n);
+            assert_eq!(optimal_s(1, n), n);
             assert_eq!(optimal_full_cost(1, n), n);
         }
         // L = 2, n odd: s = ceil(n/2) is optimal (paper: s0 = s1+1 = n/2
         // rounded up).
         for n in (1..=49u64).step_by(2) {
-            assert_eq!(optimal_s(&cf, 2, n), n.div_ceil(2));
+            assert_eq!(optimal_s(2, n), n.div_ceil(2));
         }
     }
 
     #[test]
     fn theorem12_matches_brute_force() {
-        let cf = cf();
         for media_len in 1..=40u64 {
             for n in 1..=120u64 {
-                let fast_s = optimal_s(&cf, media_len, n);
-                let fast = full_cost_given_s(&cf, media_len, n, fast_s);
-                let (_, slow) = brute_force_optimal_s(&cf, media_len, n);
+                let fast_s = optimal_s(media_len, n);
+                let fast = full_cost_given_s(media_len, n, fast_s);
+                let (_, slow) = brute_force_optimal_s(media_len, n);
                 assert_eq!(fast, slow, "L = {media_len}, n = {n}");
                 assert!(
                     s_is_feasible(media_len, n, fast_s),
@@ -335,11 +312,10 @@ mod tests {
 
     #[test]
     fn bounded_buffer_never_cheaper_than_unbounded() {
-        let cf = cf();
         for n in 1..=80u64 {
             let unb = optimal_full_cost(20, n);
             for buffer in 1..=10u64 {
-                let (_, cost) = optimal_s_bounded_buffer(&cf, 20, n, buffer);
+                let (_, cost) = optimal_s_bounded_buffer(20, n, buffer);
                 assert!(cost >= unb, "n = {n}, B = {buffer}");
             }
         }
@@ -347,7 +323,6 @@ mod tests {
 
     #[test]
     fn bounded_buffer_matches_brute_force() {
-        let cf = cf();
         for n in 1..=60u64 {
             for buffer in 1..=9u64 {
                 let media_len = 20u64;
@@ -359,10 +334,10 @@ mod tests {
                     let r = n - p * s;
                     let max_size = if r > 0 { p + 1 } else { p };
                     if max_size <= cap {
-                        best = best.min(full_cost_given_s(&cf, media_len, n, s));
+                        best = best.min(full_cost_given_s(media_len, n, s));
                     }
                 }
-                let (_, cost) = optimal_s_bounded_buffer(&cf, media_len, n, buffer);
+                let (_, cost) = optimal_s_bounded_buffer(media_len, n, buffer);
                 assert_eq!(cost, best, "n = {n}, B = {buffer}");
             }
         }

@@ -258,16 +258,18 @@ fn build_offset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closed_form::ClosedForm;
     use sm_core::{consecutive_slots, full_cost, merge_cost as model_merge_cost};
 
     #[test]
     fn degenerates_to_delay_guaranteed_closed_form() {
-        let cf = ClosedForm::new();
         for n in 1..=80usize {
             let times = consecutive_slots(n);
             let sol = optimal_tree(&times);
-            assert_eq!(sol.cost as u64, cf.merge_cost(n as u64), "n = {n}");
+            assert_eq!(
+                sol.cost as u64,
+                crate::closed_form::merge_cost(n as u64),
+                "n = {n}"
+            );
         }
     }
 

@@ -33,6 +33,6 @@ pub mod general;
 pub mod receive_all;
 pub mod tree_builder;
 
-pub use closed_form::{last_merge_interval, merge_cost, ClosedForm};
+pub use closed_form::{last_merge_interval, merge_cost};
 pub use forest::{optimal_forest, optimal_full_cost, optimal_s, OptimalForestPlan};
 pub use tree_builder::optimal_merge_tree;

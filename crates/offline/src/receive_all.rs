@@ -12,7 +12,6 @@
 //! surprising punchline (Theorems 19/20): receive-all saves only a factor
 //! `log_φ 2 ≈ 1.44` over receive-two.
 
-use crate::closed_form::ClosedForm;
 use sm_core::{MergeForest, MergeTree};
 
 /// `Mω(n)` by the closed form of Eq. (20). `Mω(0) = Mω(1) = 0`.
@@ -153,8 +152,8 @@ pub fn optimal_forest(media_len: u64, n: usize) -> (MergeForest, u64) {
 }
 
 /// The merge-cost ratio `M(n)/Mω(n)` of Theorem 19 (→ `log_φ 2 ≈ 1.44`).
-pub fn merge_cost_ratio(cf: &ClosedForm, n: u64) -> f64 {
-    cf.merge_cost(n) as f64 / merge_cost(n) as f64
+pub fn merge_cost_ratio(n: u64) -> f64 {
+    crate::closed_form::merge_cost(n) as f64 / merge_cost(n) as f64
 }
 
 #[cfg(test)]
@@ -226,9 +225,8 @@ mod tests {
 
     #[test]
     fn theorem19_ratio_converges() {
-        let cf = ClosedForm::new();
         let limit = sm_fib::golden::receive_two_over_receive_all_limit();
-        let r = merge_cost_ratio(&cf, 100_000_000);
+        let r = merge_cost_ratio(100_000_000);
         assert!((r - limit).abs() < 0.05, "ratio {r}, limit {limit}");
         // And the asymptotic envelope of Eq. (21): Mω(n) = n·log2(n) + O(n).
         let n = 1u64 << 26;
@@ -239,10 +237,9 @@ mod tests {
 
     #[test]
     fn full_cost_never_exceeds_receive_two() {
-        let cf = ClosedForm::new();
         for media_len in [4u64, 10, 15, 30] {
             for n in 1..=120u64 {
-                let two = crate::forest::optimal_full_cost_with(&cf, media_len, n);
+                let two = crate::forest::optimal_full_cost(media_len, n);
                 let all = optimal_full_cost(media_len, n);
                 assert!(all <= two, "L = {media_len}, n = {n}: {all} > {two}");
             }
@@ -284,12 +281,11 @@ mod tests {
         // n ≫ L). The Θ(n) terms make convergence O(1/log L): assert the
         // ratio climbs monotonically toward the limit and lands within 0.15
         // at L = 10⁵.
-        let cf = ClosedForm::new();
         let limit = sm_fib::golden::receive_two_over_receive_all_limit();
         let mut prev = 0.0f64;
         for media_len in [100u64, 1_000, 10_000, 100_000] {
             let n = media_len * 300;
-            let two = crate::forest::optimal_full_cost_with(&cf, media_len, n) as f64;
+            let two = crate::forest::optimal_full_cost(media_len, n) as f64;
             let all = optimal_full_cost(media_len, n) as f64;
             let ratio = two / all;
             assert!(

@@ -6,7 +6,7 @@
 //! `[i + r, j]` attached as an extra last child of the root, where
 //! `r = r(j − i + 1)`.
 
-use crate::closed_form::ClosedForm;
+use crate::closed_form::max_last_merge_table;
 use sm_core::MergeTree;
 
 /// Builds an optimal merge tree for `n` consecutive arrivals in `O(n)`.
@@ -19,14 +19,7 @@ use sm_core::MergeTree;
 /// Panics if `n == 0`.
 pub fn optimal_merge_tree(n: usize) -> MergeTree {
     assert!(n >= 1, "a merge tree needs at least one arrival");
-    let cf = ClosedForm::new();
-    optimal_merge_tree_with(&cf, n)
-}
-
-/// As [`optimal_merge_tree`], reusing a [`ClosedForm`] context.
-pub fn optimal_merge_tree_with(cf: &ClosedForm, n: usize) -> MergeTree {
-    assert!(n >= 1);
-    let r = cf.max_last_merge_table(n);
+    let r = max_last_merge_table(n);
     let mut parents: Vec<Option<usize>> = vec![None; n];
     fill(&mut parents, 0, n, &r);
     MergeTree::from_parents(&parents).expect("construction is structurally valid")

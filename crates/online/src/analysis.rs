@@ -26,10 +26,8 @@ pub fn theorem22_applies(media_len: u64, n: u64) -> bool {
 
 /// Theorem 21's explicit upper bound `(s₁+1)·(L + M(F_h))`.
 pub fn theorem21_upper(media_len: u64, n: u64) -> u64 {
-    let cf = sm_offline::closed_form::ClosedForm::new();
-    let h = cf.fib().theorem12_h(media_len);
-    let fh = cf.fib().get(h).max(1);
-    (n / fh + 1) * (media_len + cf.merge_cost(fh))
+    let fh = sm_fib::fib(sm_fib::theorem12_h(media_len)).max(1);
+    (n / fh + 1) * (media_len + sm_offline::merge_cost(fh))
 }
 
 #[cfg(test)]

@@ -133,8 +133,7 @@ mod tests {
         // Average concurrent streams ≈ (L + M(F_h)) / F_h.
         let media_len = 100u64;
         let s = steady_state_bandwidth(media_len);
-        let cf = sm_offline::closed_form::ClosedForm::new();
-        let amortized = (media_len + cf.merge_cost(s.period)) as f64 / s.period as f64;
+        let amortized = (media_len + sm_offline::merge_cost(s.period)) as f64 / s.period as f64;
         assert!(
             (s.average - amortized).abs() < 0.05 * amortized,
             "avg {} vs amortized {amortized}",

@@ -11,8 +11,8 @@
 //! `A(L,n)/F(L,n) ≤ 1 + 2L/n` for `L ≥ 7`, `n > L² + 2`.
 
 use sm_core::{consecutive_slots, merge_cost, MergeForest, MergeTree, ReceivingProgram};
-use sm_offline::closed_form::ClosedForm;
-use sm_offline::tree_builder::optimal_merge_tree_with;
+use sm_fib::{fib, theorem12_h};
+use sm_offline::tree_builder::optimal_merge_tree;
 
 use crate::cast::{index_to_usize, nonneg_cost};
 use crate::incremental::{ForestBuilder, MergeDecision};
@@ -47,9 +47,7 @@ impl DelayGuaranteedOnline {
     /// Panics if `media_len == 0`.
     pub fn new(media_len: u64) -> Self {
         assert!(media_len >= 1, "media length must be at least one slot");
-        let cf = ClosedForm::new();
-        let h = cf.fib().theorem12_h(media_len);
-        let tree_size = cf.fib().get(h).max(1);
+        let tree_size = fib(theorem12_h(media_len)).max(1);
         Self::with_tree_size(media_len, tree_size)
     }
 
@@ -61,9 +59,7 @@ impl DelayGuaranteedOnline {
     /// (singleton trees, one full stream per slot).
     pub fn with_buffer_bound(media_len: u64, buffer: u64) -> Self {
         assert!(media_len >= 1, "media length must be at least one slot");
-        let cf = ClosedForm::new();
-        let h = cf.fib().theorem12_h(media_len);
-        let unbounded = cf.fib().get(h).max(1);
+        let unbounded = fib(theorem12_h(media_len)).max(1);
         let cap = sm_offline::forest::max_tree_size_for_buffer(media_len, buffer);
         Self::with_tree_size(media_len, unbounded.min(cap).max(1))
     }
@@ -71,19 +67,11 @@ impl DelayGuaranteedOnline {
     /// Core constructor: precomputes the optimal template of `tree_size`
     /// arrivals and every derived table.
     fn with_tree_size(media_len: u64, tree_size: u64) -> Self {
-        let cf = ClosedForm::new();
         let size = index_to_usize(tree_size);
-        let template = optimal_merge_tree_with(&cf, size);
+        let template = optimal_merge_tree(size);
         let times = consecutive_slots(size);
         let template_cost = nonneg_cost(merge_cost(&template, &times));
-        let mut prefix_costs = Vec::with_capacity(size + 1);
-        prefix_costs.push(0);
-        let parents = template.to_parents();
-        for i in 1..=size {
-            let truncated = MergeTree::from_parents(&parents[..i])
-                .expect("prefix of a merge tree is a merge tree");
-            prefix_costs.push(nonneg_cost(merge_cost(&truncated, &consecutive_slots(i))));
-        }
+        let prefix_costs = prefix_merge_costs(&template);
         let programs = (0..size)
             .map(|c| ReceivingProgram::build(&template, &times, media_len, c))
             .collect();
@@ -199,6 +187,28 @@ pub struct SlotPlacement<'a> {
     pub program: &'a ReceivingProgram,
 }
 
+/// `Mcost` of `tree` truncated to its first `i` arrivals, for `i = 0..=n`,
+/// with arrivals at consecutive slots, in `O(n)`.
+///
+/// Appending arrival `x` (the last in preorder) below parent `p(x)` adds
+/// its own stream of length `x − p(x)` and extends the stream of each of
+/// its `depth(x) − 1` non-root proper ancestors by 2 (Lemma 1: `x` becomes
+/// their last descendant, one slot later than the previous one).
+fn prefix_merge_costs(tree: &MergeTree) -> Vec<u64> {
+    let mut depth = vec![0u64; tree.len()];
+    let mut costs = Vec::with_capacity(tree.len() + 1);
+    let mut cost = 0u64;
+    costs.push(cost);
+    for x in 0..tree.len() {
+        if let Some(p) = tree.parent(x) {
+            depth[x] = depth[p] + 1;
+            cost += (x - p) as u64 + 2 * (depth[x] - 1);
+        }
+        costs.push(cost);
+    }
+    costs
+}
+
 /// Convenience: `A(L, n)` without retaining the server.
 pub fn online_full_cost(media_len: u64, n: u64) -> u64 {
     DelayGuaranteedOnline::new(media_len).total_cost_after(n)
@@ -302,13 +312,12 @@ mod tests {
     #[test]
     fn theorem21_upper_bound() {
         // A(L,n) ≤ (s1+1)(L + M(F_h)).
-        let cf = ClosedForm::new();
         for l in [7u64, 15, 100] {
             let alg = DelayGuaranteedOnline::new(l);
             let fh = alg.tree_size();
             for n in [fh, 3 * fh + 1, 10 * fh + fh / 2] {
                 let s1 = n / fh;
-                let bound = (s1 + 1) * (l + cf.merge_cost(fh));
+                let bound = (s1 + 1) * (l + sm_offline::merge_cost(fh));
                 assert!(alg.total_cost_after(n) <= bound, "L = {l}, n = {n}");
             }
         }
@@ -321,6 +330,25 @@ mod tests {
             assert!(w[0] <= w[1]);
         }
         assert_eq!(*alg.prefix_costs.last().unwrap(), alg.template_cost);
+    }
+
+    #[test]
+    fn prefix_costs_match_truncated_tree_rebuild() {
+        for size in 1..=400usize {
+            let tree = optimal_merge_tree(size);
+            let parents = tree.to_parents();
+            let rebuilt: Vec<u64> = (0..=size)
+                .map(|i| match i {
+                    0 => 0,
+                    _ => {
+                        let truncated = MergeTree::from_parents(&parents[..i])
+                            .expect("prefix of a merge tree is a merge tree");
+                        nonneg_cost(merge_cost(&truncated, &consecutive_slots(i)))
+                    }
+                })
+                .collect();
+            assert_eq!(prefix_merge_costs(&tree), rebuilt, "size = {size}");
+        }
     }
 
     #[test]
@@ -384,12 +412,11 @@ mod tests {
 
     #[test]
     fn bounded_buffer_online_never_beats_theorem16_offline() {
-        let cf = ClosedForm::new();
         for buffer in [2u64, 5, 12] {
             let alg = DelayGuaranteedOnline::with_buffer_bound(40, buffer);
             for n in [10u64, 55, 160] {
                 let online = alg.total_cost_after(n);
-                let (_, offline) = sm_offline::forest::optimal_s_bounded_buffer(&cf, 40, n, buffer);
+                let (_, offline) = sm_offline::forest::optimal_s_bounded_buffer(40, n, buffer);
                 assert!(
                     online >= offline,
                     "B = {buffer}, n = {n}: {online} < {offline}"

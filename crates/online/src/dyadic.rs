@@ -57,11 +57,10 @@ impl DyadicConfig {
 
     /// The paper's constant-rate variant: α = φ, β = F_h/L.
     pub fn golden_constant_rate(media_len: u64) -> Self {
-        let table = sm_fib::FibTable::new();
-        let h = table.theorem12_h(media_len);
+        let fh = sm_fib::fib(sm_fib::theorem12_h(media_len));
         Self {
             alpha: sm_fib::PHI,
-            beta: table.get(h) as f64 / media_len as f64,
+            beta: fh as f64 / media_len as f64,
         }
     }
 }

@@ -873,46 +873,80 @@ mod tests {
         }
     }
 
+    /// Drives one shared planner through each title's batching rule (an
+    /// arrival at or before the title's pending service slot joins, any
+    /// later one is planned) with the given root/merge verdicts, and checks
+    /// every committed full stream `[s, s + L)` against the budget. Each
+    /// step is `(title, gap, verdict)`: arrivals come in slot order across
+    /// titles, as the fan-in delivers them.
+    fn assert_planner_bounds_live_full_streams(
+        budget: usize,
+        medias: &[i64],
+        steps: &[(usize, i64, u8)],
+    ) {
+        let mut planner = DelayPlanner::new(Some(budget));
+        let mut free = DelayPlanner::new(None);
+        let mut streams = Vec::new();
+        let mut pending: Vec<Option<i64>> = vec![None; medias.len()];
+        let mut slot = 0i64;
+        for &(title, gap, verdict) in steps {
+            let title = title % medias.len();
+            slot += gap;
+            if pending[title].is_some_and(|p| slot <= p) {
+                continue;
+            }
+            assert_eq!(free.plan(slot), slot);
+            let s = planner.plan(slot);
+            assert!(s >= slot, "planned {s} before arrival {slot}");
+            // A title's first group always opens a tree.
+            if pending[title].is_none() || verdict == 0 {
+                planner.commit(s + medias[title]);
+                free.commit(s + medias[title]);
+                streams.push((s, s + medias[title]));
+            }
+            pending[title] = Some(s);
+        }
+        // The live count only rises at a stream start, so checking every
+        // start checks every slot.
+        for &(s, _) in &streams {
+            let live = streams
+                .iter()
+                .filter(|&&(t, end)| t <= s && s < end)
+                .count();
+            assert!(live <= budget, "{live} full streams live at slot {s}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Drives the planner through the one-title batching rule (an
-        /// arrival at or before the pending service slot joins, any later
-        /// one is planned) with drawn root/merge verdicts, and checks
-        /// every committed full stream `[s, s + L)` against the budget.
         #[test]
         fn planner_budget_bounds_live_full_streams_of_one_title(
             budget in 1usize..=8,
             media in 1i64..=200,
             steps in proptest::collection::vec((0i64..12, 0u8..2), 1..300),
         ) {
-            let mut planner = DelayPlanner::new(Some(budget));
-            let mut free = DelayPlanner::new(None);
-            let mut starts = Vec::new();
-            let mut pending: Option<i64> = None;
-            let mut slot = 0i64;
-            for (gap, verdict) in steps {
-                slot += gap;
-                if pending.is_some_and(|p| slot <= p) {
-                    continue;
-                }
-                prop_assert_eq!(free.plan(slot), slot);
-                let s = planner.plan(slot);
-                prop_assert!(s >= slot, "planned {} before arrival {}", s, slot);
-                // A title's first group always opens a tree.
-                if pending.is_none() || verdict == 0 {
-                    planner.commit(s + media);
-                    free.commit(s + media);
-                    starts.push(s);
-                }
-                pending = Some(s);
-            }
-            // The live count only rises at a stream start, so checking
-            // every start checks every slot.
-            for &s in &starts {
-                let live = starts.iter().filter(|&&t| t <= s && s < t + media).count();
-                prop_assert!(live <= budget, "{} full streams live at slot {}", live, s);
-            }
+            let steps: Vec<_> = steps.into_iter().map(|(gap, v)| (0, gap, v)).collect();
+            assert_planner_bounds_live_full_streams(budget, &[media], &steps);
+        }
+
+        /// The same oracle over 2–4 titles, each with its own media length
+        /// and pending slot. Fails today: a merge verdict drops the chain
+        /// `plan` popped while that chain's stream is still live, so another
+        /// title can start a full stream at once. With `L = 10/1000/50` at
+        /// budget 2, `serve_multi` reaches 4 live full streams. The smallest
+        /// trace: titles with `L = 1000` and `L = 10` open at slots 0 and 1;
+        /// the `L = 10` title plans again at slot 5, waits for its own chain
+        /// (ends at 11) and merges; the `L = 50` title then opens at slot 6,
+        /// the third live stream. Un-ignore with the planner fix.
+        #[test]
+        #[ignore = "multi-title budget defect: a merge verdict drops a live chain"]
+        fn planner_budget_bounds_live_full_streams_across_titles(
+            budget in 1usize..=8,
+            medias in proptest::collection::vec(1i64..=1000, 2..=4),
+            steps in proptest::collection::vec((0usize..4, 0i64..12, 0u8..2), 1..300),
+        ) {
+            assert_planner_bounds_live_full_streams(budget, &medias, &steps);
         }
     }
 

@@ -9,7 +9,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`fib`] | exact Fibonacci kernel (tables, fast doubling, Zeckendorf) |
+//! | [`fib`] | exact Fibonacci kernel (compile-time table, rank queries, fast doubling) |
 //! | [`core`] | merge trees/forests, stream lengths, costs, receiving programs, buffers |
 //! | [`offline`] | §3: optimal off-line algorithms (closed forms, O(n)/O(L+n) constructions, bounded buffers, receive-all) |
 //! | [`online`] | §4: on-line delay-guaranteed algorithm, dyadic (α,β) merging, batching, patching/ERMT/tapping baselines |

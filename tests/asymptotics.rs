@@ -2,17 +2,16 @@
 //! of `n` — the workspace-level counterpart of the per-crate bounds tests.
 
 use stream_merging::fib::{fib, log_phi, PHI, SQRT5};
-use stream_merging::offline::closed_form::ClosedForm;
+use stream_merging::offline::closed_form;
 use stream_merging::offline::receive_all;
 
 /// Theorem 8's explicit sandwich (Eqs. 9/10):
 /// `(log_φ n − 1)·n − φ²·n + 2 ≤ M(n) ≤ (log_φ n + 1)·n − φ·n + 2`.
 #[test]
 fn theorem8_sandwich_holds_across_decades() {
-    let cf = ClosedForm::new();
     for exp in 1..=9u32 {
         let n = 10u64.pow(exp);
-        let m = cf.merge_cost(n) as f64;
+        let m = closed_form::merge_cost(n) as f64;
         let nf = n as f64;
         let upper = (log_phi(nf) + 1.0) * nf - PHI * nf + 2.0;
         let lower = (log_phi(nf) - 1.0) * nf - PHI * PHI * nf + 2.0;
@@ -25,10 +24,9 @@ fn theorem8_sandwich_holds_across_decades() {
 /// cost is monotone in the sense Theorem 8 implies.
 #[test]
 fn theorem8_normalized_cost_corridor() {
-    let cf = ClosedForm::new();
     for exp in 2..=9u32 {
         let n = 10u64.pow(exp);
-        let excess = cf.merge_cost(n) as f64 / n as f64 - log_phi(n as f64);
+        let excess = closed_form::merge_cost(n) as f64 / n as f64 - log_phi(n as f64);
         assert!(
             (-(PHI * PHI + 1.0)..=1.0).contains(&excess),
             "n = {n}: excess {excess}"
@@ -74,12 +72,11 @@ fn binet_rounding_identity() {
 /// `log_φ 2 ≈ 1.4404` and never exceeds it (at Fibonacci-friendly points).
 #[test]
 fn theorem19_ratio_monotone_to_limit() {
-    let cf = ClosedForm::new();
     let limit = 2.0f64.ln() / PHI.ln();
     let mut last = 0.0f64;
     for exp in 2..=9u32 {
         let n = 10u64.pow(exp);
-        let ratio = cf.merge_cost(n) as f64 / receive_all::merge_cost(n) as f64;
+        let ratio = closed_form::merge_cost(n) as f64 / receive_all::merge_cost(n) as f64;
         assert!(ratio <= limit + 0.01, "n = {n}: ratio {ratio}");
         assert!(
             ratio + 0.02 >= last,

@@ -3,7 +3,7 @@
 //! general-arrivals DP).
 
 use stream_merging::core::{consecutive_slots, full_cost, merge_cost};
-use stream_merging::offline::closed_form::ClosedForm;
+use stream_merging::offline::closed_form;
 use stream_merging::offline::dp;
 use stream_merging::offline::forest::{optimal_forest, optimal_full_cost};
 use stream_merging::offline::general;
@@ -14,10 +14,9 @@ use stream_merging::sim::simulate;
 #[test]
 #[allow(clippy::needless_range_loop)] // index parallels the math
 fn five_ways_to_compute_mn() {
-    let cf = ClosedForm::new();
     let dp_table = dp::merge_cost_table(120);
     for n in 1usize..=120 {
-        let closed = cf.merge_cost(n as u64);
+        let closed = closed_form::merge_cost(n as u64);
         let via_dp = dp_table[n];
         let via_tree = merge_cost(&optimal_merge_tree(n), &consecutive_slots(n)) as u64;
         let via_dp_tree = merge_cost(&dp::optimal_tree_dp(n), &consecutive_slots(n)) as u64;
@@ -77,10 +76,9 @@ fn dyadic_cost_equals_model_cost_on_integer_grid() {
 
 #[test]
 fn fib_table_vs_fast_doubling_vs_binet() {
-    let table = stream_merging::fib::FibTable::new();
-    for k in 0..=70 {
-        let (fk, _) = stream_merging::fib::fib_fast_doubling(k);
-        assert_eq!(table.get(k), fk);
-        assert_eq!(table.get(k), stream_merging::fib::binet_approx(k));
+    use stream_merging::fib::{binet_approx, fib_fast_doubling, FIB};
+    for (k, &fk) in FIB.iter().enumerate().take(71) {
+        assert_eq!(fk, fib_fast_doubling(k).0);
+        assert_eq!(fk, binet_approx(k));
     }
 }

@@ -2,7 +2,7 @@
 //! end through the public API (the facade crate).
 
 use stream_merging::core::{consecutive_slots, full_cost, merge_cost};
-use stream_merging::offline::closed_form::ClosedForm;
+use stream_merging::offline::closed_form;
 use stream_merging::offline::forest::{full_cost_given_s, optimal_forest, optimal_full_cost};
 use stream_merging::offline::receive_all;
 use stream_merging::offline::tree_builder::optimal_merge_tree;
@@ -30,10 +30,9 @@ fn section2_l15_n14_example() {
 
 #[test]
 fn section31_mn_sequence() {
-    let cf = ClosedForm::new();
     let expect = [0u64, 1, 3, 6, 9, 13, 17, 21, 26, 31, 36, 41, 46, 52, 58, 64];
     for (i, &m) in expect.iter().enumerate() {
-        assert_eq!(cf.merge_cost(i as u64 + 1), m, "M({})", i + 1);
+        assert_eq!(closed_form::merge_cost(i as u64 + 1), m, "M({})", i + 1);
     }
 }
 
@@ -52,12 +51,11 @@ fn section32_theorem12_worked_example() {
     // "assume L = 4 which implies that h = 4 and F_h = 3. When n = 16 then
     //  s0 = 4 and s1 = 5. It follows that F(L,n,s0) = 40, F(L,n,s1) = 38,
     //  and F(L,n,s1+1) = 38."
-    let cf = ClosedForm::new();
-    assert_eq!(cf.fib().theorem12_h(4), 4);
-    assert_eq!(cf.fib().get(4), 3);
-    assert_eq!(full_cost_given_s(&cf, 4, 16, 4), 40);
-    assert_eq!(full_cost_given_s(&cf, 4, 16, 5), 38);
-    assert_eq!(full_cost_given_s(&cf, 4, 16, 6), 38);
+    assert_eq!(stream_merging::fib::theorem12_h(4), 4);
+    assert_eq!(stream_merging::fib::fib(4), 3);
+    assert_eq!(full_cost_given_s(4, 16, 4), 40);
+    assert_eq!(full_cost_given_s(4, 16, 5), 38);
+    assert_eq!(full_cost_given_s(4, 16, 6), 38);
     assert_eq!(optimal_full_cost(4, 16), 38);
 }
 
@@ -84,10 +82,9 @@ fn section2_lemma2_decomposition_numbers() {
     // "the merge cost of the left subtree is Mcost(T') = 9, the cost of the
     //  right subtree is Mcost(T'') = 3, and the length of F is 9. Therefore,
     //  the merge cost for the tree is 21."
-    let cf = ClosedForm::new();
-    assert_eq!(cf.merge_cost(5), 9);
-    assert_eq!(cf.merge_cost(3), 3);
-    assert_eq!(cf.merge_cost(8), 9 + 3 + 9);
+    assert_eq!(closed_form::merge_cost(5), 9);
+    assert_eq!(closed_form::merge_cost(3), 3);
+    assert_eq!(closed_form::merge_cost(8), 9 + 3 + 9);
 }
 
 #[test]

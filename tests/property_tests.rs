@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use stream_merging::core::{
     consecutive_slots, merge_cost, validate_tree, MergeTree, ValidationOptions,
 };
-use stream_merging::offline::closed_form::ClosedForm;
+use stream_merging::offline::closed_form;
 use stream_merging::offline::forest as off_forest;
 use stream_merging::offline::general;
 use stream_merging::offline::receive_all;
@@ -32,10 +32,9 @@ proptest! {
 
     #[test]
     fn no_tree_beats_the_closed_form(tree in arb_tree(40)) {
-        let cf = ClosedForm::new();
         let n = tree.len();
         let cost = merge_cost(&tree, &consecutive_slots(n)) as u64;
-        prop_assert!(cost >= cf.merge_cost(n as u64),
+        prop_assert!(cost >= closed_form::merge_cost(n as u64),
             "tree {} costs {cost} < M({n})", tree.to_sexpr());
     }
 
@@ -61,10 +60,9 @@ proptest! {
 
     #[test]
     fn theorem12_equals_brute_force(media_len in 1u64..=30, n in 1u64..=100) {
-        let cf = ClosedForm::new();
-        let s = off_forest::optimal_s(&cf, media_len, n);
-        let fast = off_forest::full_cost_given_s(&cf, media_len, n, s);
-        let (_, slow) = off_forest::brute_force_optimal_s(&cf, media_len, n);
+        let s = off_forest::optimal_s(media_len, n);
+        let fast = off_forest::full_cost_given_s(media_len, n, s);
+        let (_, slow) = off_forest::brute_force_optimal_s(media_len, n);
         prop_assert_eq!(fast, slow);
     }
 
@@ -91,9 +89,8 @@ proptest! {
 
     #[test]
     fn general_dp_on_consecutive_equals_closed_form(n in 1usize..=60) {
-        let cf = ClosedForm::new();
         let sol = general::optimal_tree(&consecutive_slots(n));
-        prop_assert_eq!(sol.cost as u64, cf.merge_cost(n as u64));
+        prop_assert_eq!(sol.cost as u64, closed_form::merge_cost(n as u64));
     }
 
     #[test]
@@ -151,11 +148,10 @@ proptest! {
         // Splitting arrivals into two independent trees loses the cross
         // merges but avoids the connector cost; the closed form must obey
         // M(a+b) <= M(a) + M(b) + (2(a+b) - a - 2)  (Eq. (5) with h = a).
-        let cf = ClosedForm::new();
-        let lhs = cf.merge_cost(a + b);
-        let rhs = cf.merge_cost(a) + cf.merge_cost(b) + 2 * (a + b) - a - 2;
+        let lhs = closed_form::merge_cost(a + b);
+        let rhs = closed_form::merge_cost(a) + closed_form::merge_cost(b) + 2 * (a + b) - a - 2;
         prop_assert!(lhs <= rhs);
         // And monotonicity.
-        prop_assert!(cf.merge_cost(a + b) >= cf.merge_cost(a));
+        prop_assert!(closed_form::merge_cost(a + b) >= closed_form::merge_cost(a));
     }
 }

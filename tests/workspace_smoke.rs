@@ -9,8 +9,7 @@ fn every_facade_module_is_reachable() {
     // path to resolve through the facade.
     assert_eq!(stream_merging::core::consecutive_slots(3), vec![0, 1, 2]);
     assert_eq!(stream_merging::fib::fib(10), 55);
-    let cf = stream_merging::offline::closed_form::ClosedForm::new();
-    assert!(cf.merge_cost(10) > 0);
+    assert!(stream_merging::offline::closed_form::merge_cost(10) > 0);
     let dg = stream_merging::online::delay_guaranteed::DelayGuaranteedOnline::new(15);
     assert!(dg.tree_size() >= 1);
     assert!(stream_merging::broadcast::HarmonicPlan::new(16, 4).is_ok());
