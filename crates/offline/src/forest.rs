@@ -29,11 +29,17 @@ pub struct OptimalForestPlan {
 
 /// `F(L, n, s)` by Lemma 9. Purely arithmetic — does not check that tree
 /// sizes fit the media (`p ≤ L`); see [`s_is_feasible`].
+///
+/// # Panics
+/// Panics unless `1 ≤ s ≤ n`, and if the cost overflows a `u64`.
 pub fn full_cost_given_s(media_len: u64, n: u64, s: u64) -> u64 {
     assert!(s >= 1 && s <= n, "need 1 <= s <= n (got s = {s}, n = {n})");
     let p = n / s;
     let r = n - p * s;
-    s * media_len + r * merge_cost(p + 1) + (s - r) * merge_cost(p)
+    s.checked_mul(media_len)
+        .and_then(|full| full.checked_add(r.checked_mul(merge_cost(p + 1))?))
+        .and_then(|cost| cost.checked_add((s - r).checked_mul(merge_cost(p))?))
+        .unwrap_or_else(|| panic!("F(L, n, s) overflows u64 (L = {media_len}, n = {n}, s = {s})"))
 }
 
 /// Whether `s` full streams yield feasible trees: every tree must satisfy
@@ -188,6 +194,13 @@ pub fn optimal_forest_bounded_buffer(media_len: u64, n: usize, buffer: u64) -> O
 mod tests {
     use super::*;
     use sm_core::{consecutive_slots, full_cost, validate_forest, ValidationOptions};
+
+    #[test]
+    #[should_panic(expected = "F(L, n, s) overflows u64")]
+    fn full_cost_given_s_panics_instead_of_wrapping() {
+        // s·L = 2·(2⁶³) wraps to 0 in unchecked release arithmetic.
+        full_cost_given_s(1 << 63, 2, 2);
+    }
 
     #[test]
     fn paper_example_l15_n8() {

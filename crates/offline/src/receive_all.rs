@@ -73,11 +73,17 @@ fn fill(parents: &mut [Option<usize>], start: usize, n: usize) {
 }
 
 /// `Fω(L, n, s)` (Eq. (22)): `s·L + r·Mω(p+1) + (s−r)·Mω(p)`.
+///
+/// # Panics
+/// Panics unless `1 ≤ s ≤ n`, and if the cost overflows a `u64`.
 pub fn full_cost_given_s(media_len: u64, n: u64, s: u64) -> u64 {
     assert!(s >= 1 && s <= n);
     let p = n / s;
     let r = n - p * s;
-    s * media_len + r * merge_cost(p + 1) + (s - r) * merge_cost(p)
+    s.checked_mul(media_len)
+        .and_then(|full| full.checked_add(r.checked_mul(merge_cost(p + 1))?))
+        .and_then(|cost| cost.checked_add((s - r).checked_mul(merge_cost(p))?))
+        .unwrap_or_else(|| panic!("Fω(L, n, s) overflows u64 (L = {media_len}, n = {n}, s = {s})"))
 }
 
 /// `Fω(L, n)`: exact optimal receive-all full cost.
@@ -160,6 +166,13 @@ pub fn merge_cost_ratio(n: u64) -> f64 {
 mod tests {
     use super::*;
     use sm_core::{consecutive_slots, receive_all_merge_cost};
+
+    #[test]
+    #[should_panic(expected = "Fω(L, n, s) overflows u64")]
+    fn full_cost_given_s_panics_instead_of_wrapping() {
+        // s·L = 2·(2⁶³) wraps to 0 in unchecked release arithmetic.
+        full_cost_given_s(1 << 63, 2, 2);
+    }
 
     #[test]
     fn paper_table_of_momega() {
