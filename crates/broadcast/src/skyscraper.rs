@@ -26,7 +26,7 @@ use crate::plan::{Segment, SegmentPlan};
 /// The first `k` terms of the skyscraper segment-size series, capped at `w`.
 ///
 /// `w = u64::MAX` gives the unrestricted series `1, 2, 2, 5, 5, 12, 12, …`.
-pub fn skyscraper_series(k: usize, w: u64) -> Vec<u64> {
+fn skyscraper_series(k: usize, w: u64) -> Vec<u64> {
     assert!(w >= 1);
     let mut out = Vec::with_capacity(k);
     let mut prev = 0u64;

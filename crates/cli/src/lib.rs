@@ -23,6 +23,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use sm_fib::{FIB, MAX_FIB_INDEX_U64};
+use sm_online::DelayGuaranteedOnline;
 
 pub mod render;
 
@@ -103,13 +104,6 @@ const MAX_MCOST_N: u64 = 227_312_532_704_060_738;
 /// The largest `L` with `L + 2 ≤ F_93`, the domain of Theorem 12's `h`.
 const MAX_MEDIA_LEN: u64 = FIB[MAX_FIB_INDEX_U64] - 2;
 
-/// The largest `L` for `online`. Its Delay Guaranteed policy materializes
-/// an optimal template of `F_h` nodes (Theorem 12: `F_{h+1} < L+2`), a few
-/// hundred bytes each, and `F_h` grows like `L`: at `L = 10⁶` the template
-/// is `F_29 = 514 229` nodes (about 220 MB, under a second), while `10⁸`
-/// would need tens of GB.
-const MAX_ONLINE_MEDIA_LEN: u64 = 1_000_000;
-
 fn at_most(n: u64, max: u64, arg: &str) -> Result<u64, CliError> {
     if n > max {
         return Err(CliError::BadArgument {
@@ -159,7 +153,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some("online") => {
             let l = positive(parse(required(&mut it, "L")?, "a positive integer")?, "L")?;
-            let l = at_most(l, MAX_ONLINE_MEDIA_LEN, "L")?;
+            let l = at_most(l, DelayGuaranteedOnline::MAX_MEDIA_LEN, "L")?;
             let n = positive(
                 parse(required(&mut it, "horizon")?, "a positive integer")?,
                 "horizon",
@@ -343,7 +337,7 @@ mod tests {
         let huge = u64::MAX.to_string();
         let n_over = (MAX_MCOST_N + 1).to_string();
         let l_over = (MAX_MEDIA_LEN + 1).to_string();
-        let online_over = (MAX_ONLINE_MEDIA_LEN + 1).to_string();
+        let online_over = (DelayGuaranteedOnline::MAX_MEDIA_LEN + 1).to_string();
         for bad in [
             vec!["mcost", huge.as_str()],
             vec!["mcost", n_over.as_str()],
@@ -375,7 +369,7 @@ mod tests {
         assert_eq!(sm_fib::theorem12_h(MAX_MEDIA_LEN), 91);
         // The online bound's template size, as its doc states.
         assert_eq!(
-            sm_fib::fib(sm_fib::theorem12_h(MAX_ONLINE_MEDIA_LEN)),
+            sm_fib::fib(sm_fib::theorem12_h(DelayGuaranteedOnline::MAX_MEDIA_LEN)),
             514_229
         );
     }
@@ -479,6 +473,10 @@ mod tests {
             vec!["serve", "300", "unlimited", "32:-1"],
             vec!["serve", "300", "unlimited", "32:2:bogus"],
             vec!["serve", "300", "unlimited", "32:2:dg:extra"],
+            // A Delay Guaranteed template this large would exhaust memory;
+            // the planner builds one for dyadic titles too.
+            vec!["serve", "10", "unlimited", "100000000:1:dg"],
+            vec!["serve", "10", "unlimited", "100000000:1"],
         ] {
             assert!(
                 matches!(run_args(&bad), Err(CliError::BadArgument { .. })),

@@ -6,8 +6,8 @@ use crate::{table, CliError};
 use sm_core::{consecutive_slots, diagram, full_cost, ReceivingProgram};
 use sm_offline::closed_form::{last_merge_interval, merge_cost};
 use sm_offline::forest::optimal_forest;
+use sm_offline::receive_all;
 use sm_offline::tree_builder::optimal_merge_tree;
-use sm_offline::{dp, receive_all};
 use sm_online::delay_guaranteed::online_full_cost;
 
 /// `smctl mcost <n>`.
@@ -397,19 +397,13 @@ pub fn policies(media_len: u64, lambda_pct: f64) -> String {
     out
 }
 
-/// Re-exported for the doc examples; `smctl mcost` over a small range used
-/// by the DP cross-check test.
-pub fn mcost_table(upto: usize) -> Vec<u64> {
-    dp::merge_cost_table(upto)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn mcost_matches_dp_table() {
-        let tbl = mcost_table(16);
+        let tbl = sm_offline::dp::merge_cost_table(16);
         for (i, &v) in tbl.iter().enumerate().skip(1) {
             assert!(mcost(i as u64).contains(&format!("M({i}) = {v}")));
         }

@@ -43,7 +43,7 @@ pub fn allocations() -> u64 {
 }
 
 /// Total bytes requested by recorded allocations on the current thread.
-pub fn allocated_bytes() -> u64 {
+fn allocated_bytes() -> u64 {
     ALLOCATED_BYTES.try_with(Cell::get).unwrap_or(0)
 }
 

@@ -5,9 +5,9 @@
 //! streams it accumulates one extra part per slot, peaking when it merges to
 //! the root (or when the root stream ends, whichever binds first).
 //!
-//! [`buffer_profile`] recomputes occupancy slot-by-slot from the receiving
-//! program — an independent check of the closed form used by tests and the
-//! simulator.
+//! [`max_buffer_observed`] recomputes occupancy slot-by-slot from the
+//! receiving program — an independent check of the closed form used by
+//! tests and the simulator.
 
 use crate::receiving::ReceivingProgram;
 use crate::tree::MergeTree;
@@ -29,7 +29,7 @@ pub fn required_buffer(tree: &MergeTree, times: &[i64], media_len: u64, client: 
 ///
 /// Returns `(instant, occupancy)` pairs for every integer instant from the
 /// client's arrival to the end of its playback.
-pub fn buffer_profile(
+fn buffer_profile(
     tree: &MergeTree,
     times: &[i64],
     media_len: u64,
@@ -63,7 +63,8 @@ pub fn buffer_profile(
     profile
 }
 
-/// Maximum of [`buffer_profile`] — the observed buffer requirement.
+/// The observed buffer requirement: the peak of the client's occupancy
+/// replayed slot by slot from its receiving program.
 pub fn max_buffer_observed(tree: &MergeTree, times: &[i64], media_len: u64, client: usize) -> i64 {
     buffer_profile(tree, times, media_len, client)
         .into_iter()

@@ -45,7 +45,7 @@ pub mod time;
 pub mod tree;
 pub mod validate;
 
-pub use buffer::{buffer_profile, required_buffer};
+pub use buffer::required_buffer;
 pub use cost::{full_cost, lengths, merge_cost, receive_all_lengths, receive_all_merge_cost};
 pub use error::ModelError;
 pub use fanin::merge_runs;

@@ -60,46 +60,33 @@ impl ReceivingProgram {
     /// # Panics
     /// Panics if `times.len() != tree.len()` or `client` is out of range.
     pub fn build(tree: &MergeTree, times: &[i64], media_len: u64, client: usize) -> Self {
-        let mut prog = Self {
-            client,
-            path: Vec::new(),
-            segments: Vec::new(),
-        };
-        prog.rebuild(tree, times, media_len, client);
-        prog
-    }
-
-    /// Rebuilds the program in place, reusing the `path`/`segments`
-    /// allocations — the hot-loop form of [`Self::build`] (identical
-    /// output) for callers evaluating many clients back to back.
-    ///
-    /// # Panics
-    /// Panics if `times.len() != tree.len()` or `client` is out of range.
-    pub fn rebuild(&mut self, tree: &MergeTree, times: &[i64], media_len: u64, client: usize) {
         assert_eq!(times.len(), tree.len());
-        self.client = client;
-        tree.path_from_root_into(client, &mut self.path);
-        let path = &self.path;
+        let path = tree.path_from_root(client);
         let k = path.len() - 1;
         let tk = times[path[k]];
         let media = media_len as i64;
-        self.segments.clear();
-        self.segments.reserve(path.len());
         // j runs from the client's own stream (j = k) down to the root.
-        for j in (0..=k).rev() {
-            let tj = times[path[j]];
-            let t_above = if j == k { tk } else { times[path[j + 1]] };
-            let first = 2 * tk - t_above - tj + 1;
-            let last = if j == 0 {
-                media
-            } else {
-                2 * tk - tj - times[path[j - 1]]
-            };
-            self.segments.push(StageSegment {
-                stream: path[j],
-                first_part: first,
-                last_part: last,
-            });
+        let segments = (0..=k)
+            .rev()
+            .map(|j| {
+                let tj = times[path[j]];
+                let t_above = if j == k { tk } else { times[path[j + 1]] };
+                let last = if j == 0 {
+                    media
+                } else {
+                    2 * tk - tj - times[path[j - 1]]
+                };
+                StageSegment {
+                    stream: path[j],
+                    first_part: 2 * tk - t_above - tj + 1,
+                    last_part: last,
+                }
+            })
+            .collect();
+        Self {
+            client,
+            path,
+            segments,
         }
     }
 
@@ -172,7 +159,7 @@ impl ReceivingProgram {
     /// from which receive-two compliance can be checked explicitly.
     /// Returns, per slot offset from the client's arrival, how many streams
     /// are simultaneously being received.
-    pub fn concurrency_profile(&self, times: &[i64]) -> Vec<(i64, usize)> {
+    fn concurrency_profile(&self, times: &[i64]) -> Vec<(i64, usize)> {
         use std::collections::BTreeMap;
         let mut per_slot: BTreeMap<i64, usize> = BTreeMap::new();
         for seg in &self.segments {

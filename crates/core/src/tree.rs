@@ -142,24 +142,14 @@ impl MergeTree {
     /// The path of local indices from the root to `node`, inclusive — the
     /// client's *receiving program* skeleton (`x_0 < x_1 < … < x_k`).
     pub fn path_from_root(&self, node: usize) -> Vec<usize> {
-        let mut path = Vec::new();
-        self.path_from_root_into(node, &mut path);
-        path
-    }
-
-    /// Writes the root path of `node` into `out` (cleared first), reusing
-    /// its allocation — the hot-loop form of [`Self::path_from_root`].
-    pub fn path_from_root_into(&self, node: usize, out: &mut Vec<usize>) {
-        out.clear();
+        let mut path = vec![node];
         let mut cur = node;
-        loop {
-            out.push(cur);
-            match self.parent(cur) {
-                Some(p) => cur = p,
-                None => break,
-            }
+        while let Some(p) = self.parent(cur) {
+            path.push(p);
+            cur = p;
         }
-        out.reverse();
+        path.reverse();
+        path
     }
 
     /// Depth of `node` (root has depth 0).
@@ -212,23 +202,6 @@ impl MergeTree {
     /// [`Self::from_parents`]. Useful for snapshots and serialization.
     pub fn to_parents(&self) -> Vec<Option<usize>> {
         (0..self.len()).map(|i| self.parent(i)).collect()
-    }
-
-    /// Grafts `other` onto this tree as a new *last child of the root*,
-    /// relabeling `other`'s nodes to follow this tree's nodes. This is the
-    /// recursive composition of Lemma 2 / Theorem 7: `T = T' ⊕ T''`.
-    pub fn attach_as_last_root_child(&self, other: &Self) -> Self {
-        let n1 = self.len();
-        let n2 = other.len();
-        let mut parents: Vec<Option<usize>> = Vec::with_capacity(n1 + n2);
-        parents.extend(self.to_parents());
-        for i in 0..n2 {
-            parents.push(match other.parent(i) {
-                None => Some(0),         // other's root becomes a child of our root
-                Some(p) => Some(p + n1), // internal edges shift by n1
-            });
-        }
-        Self::from_parents(&parents).expect("grafting preserves validity")
     }
 
     /// Appends the next arrival (label [`Self::len`]) as the new *last
@@ -385,17 +358,6 @@ mod tests {
         let single = MergeTree::singleton();
         assert_eq!(single.len(), 1);
         assert_eq!(single.height(), 0);
-    }
-
-    #[test]
-    fn attach_reproduces_lemma2_composition() {
-        // T' = (0 (1)), T'' = (0 (1)) -> combined (0 (1) (2 (3))).
-        let t1 = MergeTree::chain(2);
-        let t2 = MergeTree::chain(2);
-        let t = t1.attach_as_last_root_child(&t2);
-        assert_eq!(t.to_parents(), vec![None, Some(0), Some(0), Some(2)]);
-        assert!(t.has_preorder_property());
-        assert_eq!(t.last_descendant(2), 3);
     }
 
     #[test]

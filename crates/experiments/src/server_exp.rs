@@ -3,8 +3,8 @@
 //!
 //! A Zipf catalog is planned two ways for each budget:
 //!
-//! * **uniform** — one delay for the whole catalog (the smallest candidate
-//!   that fits, the strategy of `sm_online::capacity::min_delay_for_budget`);
+//! * **uniform** — one delay for the whole catalog, the smallest candidate
+//!   that fits ([`plan_uniform`]);
 //! * **weighted** — per-title delays from the greedy water-filling planner
 //!   (popular titles keep short delays).
 //!

@@ -2,7 +2,7 @@
 //!
 //! Every analytic number the experiments print has an executable
 //! counterpart: derive the forest the number describes, run it through the
-//! simulator's production path ([`sm_sim::Engine::Events`]), and demand the
+//! simulator's production path ([`sm_sim::simulate`]), and demand the
 //! measured bandwidth equals the closed form. The binaries call these
 //! before writing their CSVs, so a regression in either the theory code or
 //! the engine turns figure regeneration red.
@@ -13,7 +13,7 @@ use sm_online::DelayGuaranteedOnline;
 use sm_server::{
     simulate_dynamic, simulate_dynamic_sequential, DynamicError, DynamicReport, Epoch,
 };
-use sm_sim::{simulate_with, SimConfig};
+use sm_sim::simulate;
 
 /// Executes the optimal off-line forest for `(L, n)` on the simulator
 /// and checks the measured total against the plan's analytic cost.
@@ -21,7 +21,7 @@ use sm_sim::{simulate_with, SimConfig};
 pub fn crosscheck_offline(media_len: u64, n: usize) -> Result<i64, String> {
     let plan = optimal_forest(media_len, n);
     let times = consecutive_slots(n);
-    let report = simulate_with(&plan.forest, &times, media_len, SimConfig::events())
+    let report = simulate(&plan.forest, &times, media_len)
         .map_err(|e| format!("offline L = {media_len}, n = {n}: {e}"))?;
     if report.total_units != plan.cost as i64 {
         return Err(format!(
@@ -39,7 +39,7 @@ pub fn crosscheck_online(media_len: u64, n: usize) -> Result<i64, String> {
     let alg = DelayGuaranteedOnline::new(media_len);
     let forest = alg.forest_after(n);
     let times = consecutive_slots(n);
-    let report = simulate_with(&forest, &times, media_len, SimConfig::events())
+    let report = simulate(&forest, &times, media_len)
         .map_err(|e| format!("online L = {media_len}, n = {n}: {e}"))?;
     let analytic = alg.total_cost_after(n as u64);
     if report.total_units as u64 != analytic {

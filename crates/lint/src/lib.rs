@@ -145,7 +145,7 @@ impl<'a> SourceFile<'a> {
             .unwrap_or(false)
     }
 
-    pub fn snippet(&self, line: u32) -> String {
+    fn snippet(&self, line: u32) -> String {
         self.lines
             .get(line as usize - 1)
             .map(|l| l.trim().to_string())
@@ -434,7 +434,7 @@ pub struct Report {
 
 impl Report {
     /// Findings that fail the run: unwaived, deny-severity.
-    pub fn unwaived(&self) -> impl Iterator<Item = &Finding> {
+    fn unwaived(&self) -> impl Iterator<Item = &Finding> {
         self.findings
             .iter()
             .filter(|f| !f.waived && f.severity == Severity::Deny)

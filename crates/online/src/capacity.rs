@@ -7,6 +7,8 @@
 //! its peak and average concurrent-stream counts are well-defined constants
 //! for each media length; [`steady_state_bandwidth`] measures them exactly
 //! by materializing enough periods and metering the middle of the window.
+//! The §5 multi-object planner that prices titles with these peaks is
+//! `sm_server::plan_weighted`.
 
 use crate::delay_guaranteed::DelayGuaranteedOnline;
 use sm_core::consecutive_slots;
@@ -57,55 +59,6 @@ pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
     }
 }
 
-/// A media object served by a shared multi-object server (§5: "the
-/// practical case of a server that serves multiple media objects").
-#[derive(Debug, Clone)]
-pub struct MediaObject {
-    /// Display name.
-    pub name: String,
-    /// Playback duration, in minutes.
-    pub duration_minutes: f64,
-}
-
-impl MediaObject {
-    /// Media length in slots for a given guaranteed delay, clamped to ≥ 1.
-    pub fn media_len(&self, delay_minutes: f64) -> u64 {
-        assert!(delay_minutes > 0.0);
-        // `f64 as u64` saturates (never wraps) and the ratio of two positive
-        // durations is nonnegative, so the clamp to ≥ 1 is the only edge.
-        ((self.duration_minutes / delay_minutes).round() as u64).max(1)
-    }
-}
-
-/// Aggregate steady-state peak bandwidth (in concurrent streams) for a set
-/// of objects all served with the same guaranteed delay via DG.
-///
-/// The DG schedule per object is independent, so peaks add: this is the
-/// worst case (streams of different objects need not peak simultaneously,
-/// but a guarantee must cover alignment).
-pub fn aggregate_peak(objects: &[MediaObject], delay_minutes: f64) -> u64 {
-    objects
-        .iter()
-        .map(|o| steady_state_bandwidth(o.media_len(delay_minutes)).peak as u64)
-        .sum()
-}
-
-/// Smallest delay from `candidates_minutes` whose aggregate peak fits
-/// `budget_streams`, or `None`.
-pub fn min_delay_for_budget(
-    objects: &[MediaObject],
-    budget_streams: u64,
-    candidates_minutes: &[f64],
-) -> Option<f64> {
-    let mut fitting: Vec<f64> = candidates_minutes
-        .iter()
-        .copied()
-        .filter(|&d| aggregate_peak(objects, d) <= budget_streams)
-        .collect();
-    fitting.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    fitting.first().copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,39 +92,5 @@ mod tests {
             "avg {} vs amortized {amortized}",
             s.average
         );
-    }
-
-    #[test]
-    fn media_len_conversion() {
-        let movie = MediaObject {
-            name: "movie".into(),
-            duration_minutes: 120.0,
-        };
-        assert_eq!(movie.media_len(15.0), 8);
-        assert_eq!(movie.media_len(1.0), 120);
-        assert_eq!(movie.media_len(240.0), 1);
-    }
-
-    #[test]
-    fn budget_planning_picks_smallest_fitting_delay() {
-        let objects = vec![
-            MediaObject {
-                name: "a".into(),
-                duration_minutes: 100.0,
-            },
-            MediaObject {
-                name: "b".into(),
-                duration_minutes: 60.0,
-            },
-        ];
-        let candidates = [1.0, 2.0, 5.0, 10.0, 20.0];
-        // A generous budget admits the smallest delay; a tiny one may not.
-        let generous = min_delay_for_budget(&objects, 1_000, &candidates);
-        assert_eq!(generous, Some(1.0));
-        let impossible = min_delay_for_budget(&objects, 1, &candidates);
-        assert_eq!(impossible, None);
-        // Budgets in between pick interior delays, monotonically.
-        let d_mid = min_delay_for_budget(&objects, aggregate_peak(&objects, 5.0), &candidates);
-        assert!(d_mid.unwrap() <= 5.0);
     }
 }

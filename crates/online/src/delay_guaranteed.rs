@@ -41,6 +41,13 @@ pub struct DelayGuaranteedOnline {
 }
 
 impl DelayGuaranteedOnline {
+    /// The largest media length callers hand to [`Self::new`]. The policy
+    /// materializes an optimal template of `F_h` nodes (Theorem 12:
+    /// `F_{h+1} < L+2`), a few hundred bytes each, and `F_h` grows like
+    /// `L`: at `L = 10⁶` the template is `F_29 = 514 229` nodes (about
+    /// 220 MB, under a second), while `10⁸` would need tens of GB.
+    pub const MAX_MEDIA_LEN: u64 = 1_000_000;
+
     /// Sets up the algorithm for media length `media_len` slots.
     ///
     /// # Panics
@@ -109,7 +116,7 @@ impl DelayGuaranteedOnline {
     }
 
     /// Placement of slot `t` (independent of how many slots were fed).
-    pub fn placement(&self, slot: u64) -> SlotPlacement<'_> {
+    fn placement(&self, slot: u64) -> SlotPlacement<'_> {
         let tree_index = slot / self.tree_size;
         let position = index_to_usize(slot % self.tree_size);
         SlotPlacement {

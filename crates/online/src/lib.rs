@@ -24,8 +24,9 @@
 //!   stream.
 //! * [`analysis`] — the competitive bounds of Theorems 21 and 22.
 //! * [`hybrid`] — the §5 hybrid server (DG under load, dyadic when idle).
-//! * [`capacity`] — steady-state peak bandwidth and the §5 multi-object
-//!   max-bandwidth planning.
+//! * [`capacity`] — steady-state peak and average bandwidth of the Delay
+//!   Guaranteed schedule, the per-title price of §5's fixed-bandwidth
+//!   server.
 
 pub mod analysis;
 pub mod batching;

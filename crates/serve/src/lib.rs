@@ -369,6 +369,7 @@ impl From<SimError> for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_online::DelayGuaranteedOnline;
 
     /// A one-title catalog over `(0, horizon]` with Poisson gaps of mean
     /// `mean` and an unbounded budget.
@@ -499,8 +500,20 @@ mod tests {
 
     #[test]
     fn config_validation_names_the_offending_field() {
-        let cases: [(MultiServeConfig, &str); 5] = [
+        let too_long = DelayGuaranteedOnline::MAX_MEDIA_LEN + 1;
+        let dg_too_long = MultiServeConfig::new(
+            vec![TitleConfig {
+                policy: PolicyKind::DelayGuaranteed,
+                ..TitleConfig::new(too_long, 1.0)
+            }],
+            100.0,
+        );
+        let cases: [(MultiServeConfig, &str); 7] = [
             (one_title(0, 100.0, 1.0), "media_len"),
+            (dg_too_long, "media_len"),
+            // Dyadic titles too: the planner memo prices every title with
+            // a Delay Guaranteed template.
+            (one_title(too_long, 100.0, 1.0), "media_len"),
             (one_title(8, 0.0, 1.0), "horizon"),
             (one_title(8, f64::INFINITY, 1.0), "horizon"),
             (one_title(8, 100.0, 0.0), "mean_interarrival"),

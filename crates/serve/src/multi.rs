@@ -140,7 +140,8 @@ pub struct PolicySwap {
 /// One title of a multi-title serving run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TitleConfig {
-    /// Media length in slots (`L`); must be at least 1.
+    /// Media length in slots (`L`); must be at least 1 and at most
+    /// [`DelayGuaranteedOnline::MAX_MEDIA_LEN`].
     pub media_len: u64,
     /// Mean inter-arrival gap of this title's Poisson workload, in slots.
     pub mean_interarrival: f64,
@@ -209,6 +210,12 @@ impl MultiServeConfig {
         for title in &self.titles {
             if title.media_len == 0 {
                 return bad("media_len", "every title needs at least 1 slot of media");
+            }
+            // Every title, whatever its policy, is priced by the planner
+            // memo's steady-state Delay Guaranteed analysis, which builds
+            // that policy's template.
+            if title.media_len > DelayGuaranteedOnline::MAX_MEDIA_LEN {
+                return bad("media_len", "must be at most 1e6 slots");
             }
             if !(title.mean_interarrival > 0.0 && title.mean_interarrival.is_finite()) {
                 return bad("mean_interarrival", "must be finite and positive");
@@ -480,7 +487,6 @@ where
                 title.media_len,
                 SimConfig {
                     buffer_bound: title.buffer_bound,
-                    ..SimConfig::events()
                 },
             )?,
             policy: title.policy.build(title.media_len),

@@ -35,7 +35,7 @@ fn license_gating_reference(config: &MultiServeConfig) -> IncrementalSummary {
         );
         arrivals.extend(proc.generate(span).iter().map(|t| offset + t));
     }
-    let mut engine = IncrementalEngine::new(title.media_len, SimConfig::events()).unwrap();
+    let mut engine = IncrementalEngine::new(title.media_len, SimConfig::default()).unwrap();
     let mut policy = DyadicMerger::new(DyadicConfig::golden_poisson(), title.media_len as f64);
     let mut slot_reps: Vec<usize> = Vec::new();
     let mut cur: Option<(i64, usize)> = None;

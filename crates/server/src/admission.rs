@@ -39,7 +39,7 @@ use sm_sim::{stream_schedule, BandwidthProfile};
 
 /// One steady-state period of the DG bandwidth profile for `media_len`,
 /// in concurrent streams per slot.
-pub fn periodic_profile(media_len: u64) -> Vec<u32> {
+fn periodic_profile(media_len: u64) -> Vec<u32> {
     let alg = DelayGuaranteedOnline::new(media_len);
     let period = alg.tree_size();
     let periods_needed = media_len.div_ceil(period) + 2;
@@ -220,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_peak_within_planned_worst_case() {
+    fn aggregate_profile_peak_within_planned_worst_case() {
         let catalog = catalog();
         let plan = plan_weighted(&catalog, u64::MAX, &[2.0, 5.0]).unwrap();
         let agg = aggregate_profile(&catalog, &plan, 2_000);

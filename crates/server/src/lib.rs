@@ -73,5 +73,5 @@ pub use dynamic::{
     EpochBreakdown, EpochPlan,
 };
 pub use memo::PlannerMemo;
-pub use planner::{brute_force_plan, plan_weighted, plan_weighted_with, DelayPlan};
+pub use planner::{plan_weighted, plan_weighted_with, DelayPlan};
 pub use zipf::Zipf;

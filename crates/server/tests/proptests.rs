@@ -114,6 +114,25 @@ proptest! {
         }
     }
 
+    /// `Title::media_len` rounds up: slots of the guaranteed delay cover
+    /// the whole title, and one slot fewer would not (up to the float
+    /// rounding of `duration / delay`). Rounding to nearest fails this at
+    /// 90 minutes and an 8-minute delay (11 slots cover only 88 minutes).
+    #[test]
+    fn title_media_len_keeps_the_guarantee(duration in 1.0f64..=600.0, delay in 0.1f64..=120.0) {
+        let title = Title {
+            name: "t".into(),
+            duration_minutes: duration,
+            weight: 1.0,
+        };
+        let slots = title.media_len(delay) as f64;
+        let eps = 1e-9 * duration;
+        prop_assert!(slots * delay >= duration - eps, "{slots} × {delay} < {duration}");
+        if slots > 1.0 {
+            prop_assert!((slots - 1.0) * delay < duration + eps, "{slots} − 1 slots suffice");
+        }
+    }
+
     /// Plans always fit their budget, and a larger budget never yields a
     /// worse expected delay.
     #[test]

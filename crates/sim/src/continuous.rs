@@ -56,7 +56,7 @@ pub enum ContinuousError {
 }
 
 /// Builds the position intervals of one client (tree-local index).
-pub fn position_intervals(
+fn position_intervals(
     tree: &sm_core::MergeTree,
     times: &[f64],
     media_len: f64,

@@ -5,15 +5,36 @@
 //! memory per client, which is fine for the paper-scale figures and makes
 //! it the easy-to-audit oracle the incremental engine is pinned against.
 
-use super::{ClientReport, SimConfig};
+use super::{checked_schedule, ClientReport, SimConfig, SimReport};
 use crate::error::SimError;
+use crate::metrics::BandwidthProfile;
 use crate::schedule::StreamSpec;
 use sm_core::{MergeForest, ReceivingProgram};
 
+/// Simulates a merge forest over slotted arrivals on the slot-stepped
+/// oracle, whatever the order of `times`.
+///
+/// Runs the same input checks as [`super::simulate_with`], then sweeps
+/// every client over its playback window. Reports are in arrival-index
+/// order; the error is the lowest-index client's.
+pub fn simulate(
+    forest: &MergeForest,
+    times: &[i64],
+    media_len: u64,
+    config: SimConfig,
+) -> Result<SimReport, SimError> {
+    let specs = checked_schedule(forest, times, media_len)?;
+    let clients = run(forest, times, &specs, media_len, config)?;
+    Ok(SimReport {
+        bandwidth: BandwidthProfile::from_streams(&specs),
+        total_units: specs.iter().map(|s| s.length).sum(),
+        clients,
+    })
+}
+
 /// Runs the dense engine over the forest's broadcast schedule `specs`,
-/// returning the reports in arrival-index order. Inputs are pre-validated
-/// by `simulate_with`.
-pub(super) fn run(
+/// returning the reports in arrival-index order.
+fn run(
     forest: &MergeForest,
     times: &[i64],
     specs: &[StreamSpec],

@@ -313,8 +313,7 @@ pub struct IncrementalEngine {
 
 impl IncrementalEngine {
     /// A fresh engine for a media of `media_len` parts.
-    /// `config.buffer_bound` is honored; `config.engine` is ignored (this
-    /// *is* the incremental engine).
+    /// `config.buffer_bound` is honored.
     pub fn new(media_len: u64, config: SimConfig) -> Result<Self, SimError> {
         let media = checked_media_len(media_len)?;
         Ok(Self {
@@ -344,11 +343,13 @@ impl IncrementalEngine {
 
     /// Trees currently retained: the open one plus closed trees whose
     /// clients are still inside their playback windows.
-    pub fn open_trees(&self) -> usize {
+    fn open_trees(&self) -> usize {
         self.closed.len() + usize::from(self.open.is_some())
     }
 
-    /// High-water mark of [`open_trees`](Self::open_trees) so far.
+    /// High-water mark so far of the trees retained at once: the open one
+    /// plus closed trees whose clients are still inside their playback
+    /// windows.
     pub fn max_open_trees(&self) -> usize {
         self.max_open_trees
     }
@@ -569,8 +570,8 @@ struct EngineScratch {
 impl EngineScratch {
     /// Rebuilds `client`'s receiving program into the segment columns and
     /// verifies it in the same pass — the struct-of-arrays fusion of
-    /// `ReceivingProgram::rebuild` + `verify`: bit-identical segments and
-    /// errors (rebuild is infallible and verify rejects at the first
+    /// `ReceivingProgram::build` + `verify`: bit-identical segments and
+    /// errors (build is infallible and verify rejects at the first
     /// offending segment in part order — exactly the order segments are
     /// generated here, so checking each segment as it is built reports the
     /// identical first error), no per-client allocation once the columns
@@ -833,7 +834,7 @@ fn eval_client(
 
 #[cfg(test)]
 mod tests {
-    use super::super::simulate_with;
+    use super::super::dense;
     use super::*;
     use crate::metrics::BandwidthProfile;
     use sm_core::{consecutive_slots, MergeTree, ReceivingProgram};
@@ -857,7 +858,7 @@ mod tests {
     /// The engine against the dense oracle on sorted times; pins summary,
     /// reports, emission order (= index order) and the first error.
     fn assert_matches_dense(forest: &MergeForest, times: &[i64], media_len: u64) {
-        let expected = simulate_with(forest, times, media_len, SimConfig::dense());
+        let expected = dense::simulate(forest, times, media_len, SimConfig::default());
         let mut inc = Vec::new();
         let got = simulate_incremental(forest, times, media_len, SimConfig::default(), |r| {
             inc.push(r)
@@ -914,9 +915,8 @@ mod tests {
         let times = consecutive_slots(8);
         let cfg = SimConfig {
             buffer_bound: Some(1),
-            ..SimConfig::dense()
         };
-        let dense = simulate_with(&forest, &times, 15, cfg).unwrap_err();
+        let dense = dense::simulate(&forest, &times, 15, cfg).unwrap_err();
         let got = simulate_incremental(&forest, &times, 15, cfg, |_| {}).unwrap_err();
         assert_eq!(got, IngestError::Sim(dense));
     }

@@ -15,19 +15,19 @@
 //!   `O(L)` scratch per client). Simple, and kept as the reference.
 //!
 //! The batch API in this module is a thin layer over the two: on
-//! nondecreasing arrival times (every real workload)
-//! [`simulate_with`] with [`Engine::Events`] and
-//! [`simulate_streaming_slice`] replay the `(forest, times)` pair through
-//! [`simulate_incremental`]; globally unsorted times, which only tests
-//! build, run the dense oracle. Both engines produce bit-identical reports
-//! and first errors (pinned by the `engine_equivalence` proptest suite).
+//! nondecreasing arrival times (every real workload) [`simulate_with`]
+//! and [`simulate_streaming_slice`] replay the `(forest, times)` pair
+//! through [`simulate_incremental`]; globally unsorted times, which only
+//! tests build, run the dense oracle. The oracle's own entry point is
+//! [`dense::simulate`]. Both engines produce bit-identical reports and
+//! first errors (pinned by the `engine_equivalence` proptest suite).
 
 pub mod dense;
 pub mod incremental;
 
 use crate::error::SimError;
 use crate::metrics::BandwidthProfile;
-use crate::schedule::{checked_media_len, stream_schedule};
+use crate::schedule::{checked_media_len, stream_schedule, StreamSpec};
 use sm_core::MergeForest;
 
 pub use incremental::{
@@ -35,41 +35,17 @@ pub use incremental::{
     StreamingSummary,
 };
 
-/// Which execution engine to run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// Slot-stepped reference engine (`O(span · clients)` time).
-    Dense,
-    /// Production path (default): the [`IncrementalEngine`] replay, or the
-    /// dense oracle when arrival times are globally unsorted.
-    #[default]
-    Events,
-}
-
 /// Execution options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimConfig {
     /// Fail if a client would need more than this many buffered parts.
     pub buffer_bound: Option<u64>,
-    /// Engine selection; defaults to [`Engine::Events`].
-    pub engine: Engine,
 }
 
 impl SimConfig {
-    /// Default configuration on the slot-stepped reference engine.
-    pub fn dense() -> Self {
-        Self {
-            engine: Engine::Dense,
-            ..Self::default()
-        }
-    }
-
-    /// Default configuration on the production path ([`Engine::Events`]).
+    /// The default configuration; equal to [`SimConfig::default`].
     pub fn events() -> Self {
-        Self {
-            engine: Engine::Events,
-            ..Self::default()
-        }
+        Self::default()
     }
 }
 
@@ -116,14 +92,39 @@ pub fn simulate(
 /// tree path — agreement is the Lemma 1 ↔ §2 consistency the paper relies
 /// on).
 ///
-/// An empty forest over zero arrivals yields an empty report. Reports are
-/// in arrival-index order; the error is the lowest-index client's.
+/// Nondecreasing times replay through the [`IncrementalEngine`]; globally
+/// unsorted times run the [`dense`] oracle. An empty forest over zero
+/// arrivals yields an empty report. Reports are in arrival-index order;
+/// the error is the lowest-index client's.
 pub fn simulate_with(
     forest: &MergeForest,
     times: &[i64],
     media_len: u64,
     config: SimConfig,
 ) -> Result<SimReport, SimError> {
+    if !times.is_sorted() {
+        return dense::simulate(forest, times, media_len, config);
+    }
+    let specs = checked_schedule(forest, times, media_len)?;
+    // Sorted times: deadline order is index order, so the emitted reports
+    // arrive already in report order.
+    let mut clients = Vec::with_capacity(times.len());
+    let summary = replay_sorted(forest, times, media_len, config, |r| clients.push(r))?;
+    Ok(SimReport {
+        bandwidth: BandwidthProfile::from_streams(&specs),
+        total_units: summary.total_units,
+        clients,
+    })
+}
+
+/// The input checks both engines' batch runs start with, in order: one
+/// arrival time per node, a media length that fits the signed slot
+/// arithmetic, and a derivable broadcast schedule, which is returned.
+fn checked_schedule(
+    forest: &MergeForest,
+    times: &[i64],
+    media_len: u64,
+) -> Result<Vec<StreamSpec>, SimError> {
     if times.len() != forest.total_arrivals() {
         return Err(SimError::Model(sm_core::ModelError::TimesLengthMismatch {
             nodes: forest.total_arrivals(),
@@ -131,22 +132,7 @@ pub fn simulate_with(
         }));
     }
     checked_media_len(media_len)?;
-    let specs = stream_schedule(forest, times, media_len)?;
-    let (total_units, clients) = if config.engine == Engine::Dense || !times.is_sorted() {
-        let clients = dense::run(forest, times, &specs, media_len, config)?;
-        (specs.iter().map(|s| s.length).sum(), clients)
-    } else {
-        // Sorted times: deadline order is index order, so the emitted
-        // reports arrive already in report order.
-        let mut clients = Vec::with_capacity(times.len());
-        let summary = replay_sorted(forest, times, media_len, config, |r| clients.push(r))?;
-        (summary.total_units, clients)
-    };
-    Ok(SimReport {
-        bandwidth: BandwidthProfile::from_streams(&specs),
-        total_units,
-        clients,
-    })
+    stream_schedule(forest, times, media_len)
 }
 
 /// [`simulate_incremental`] as the batch API sees it: the summary without
@@ -176,7 +162,6 @@ fn replay_sorted<F: FnMut(ClientReport)>(
 /// the [`dense`] oracle instead: reports are emitted in the same
 /// part-deadline order after the whole run succeeds, and the error is the
 /// oracle's lowest-index one, exactly what [`simulate_with`] returns.
-/// `config.buffer_bound` is honored; `config.engine` is ignored.
 ///
 /// Returns the whole-run aggregates.
 pub fn simulate_streaming_slice<F: FnMut(ClientReport)>(
@@ -189,15 +174,7 @@ pub fn simulate_streaming_slice<F: FnMut(ClientReport)>(
     if times.is_sorted() {
         return replay_sorted(forest, times, media_len, config, emit);
     }
-    let report = simulate_with(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            engine: Engine::Dense,
-            ..config
-        },
-    )?;
+    let report = dense::simulate(forest, times, media_len, config)?;
     let mut clients = report.clients;
     // Stable: deadline ties keep arrival-index order.
     clients.sort_by_key(|r| times[r.client]);
@@ -214,14 +191,10 @@ mod tests {
     use super::*;
     use sm_core::{consecutive_slots, full_cost, required_buffer, MergeTree};
 
-    const ENGINES: [Engine; 2] = [Engine::Dense, Engine::Events];
+    type Run = fn(&MergeForest, &[i64], u64, SimConfig) -> Result<SimReport, SimError>;
 
-    fn cfg(engine: Engine) -> SimConfig {
-        SimConfig {
-            engine,
-            ..SimConfig::default()
-        }
-    }
+    /// The oracle and the production batch path, by name.
+    const ENGINES: [(&str, Run); 2] = [("dense", dense::simulate), ("events", simulate_with)];
 
     fn fig4_forest() -> MergeForest {
         MergeForest::single(
@@ -243,8 +216,8 @@ mod tests {
     fn fig3_executes_cleanly() {
         let forest = fig4_forest();
         let times = consecutive_slots(8);
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &times, 15, cfg(engine)).unwrap();
+        for (_, run) in ENGINES {
+            let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
             assert_eq!(report.total_units, 36);
             assert_eq!(report.total_units, full_cost(&forest, &times, 15));
             assert_eq!(report.clients.len(), 8);
@@ -255,14 +228,14 @@ mod tests {
     fn measured_buffers_match_lemma15() {
         let forest = fig4_forest();
         let times = consecutive_slots(8);
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &times, 15, cfg(engine)).unwrap();
+        for (engine, run) in ENGINES {
+            let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
             let tree = &forest.trees()[0];
             for cr in &report.clients {
                 assert_eq!(
                     cr.max_buffer,
                     required_buffer(tree, &times, 15, cr.client),
-                    "client {} ({engine:?})",
+                    "client {} ({engine})",
                     cr.client
                 );
             }
@@ -273,8 +246,8 @@ mod tests {
     fn no_client_exceeds_two_streams() {
         let forest = fig4_forest();
         let times = consecutive_slots(8);
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &times, 15, cfg(engine)).unwrap();
+        for (_, run) in ENGINES {
+            let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
             for cr in &report.clients {
                 assert!(cr.max_concurrent <= 2);
             }
@@ -287,13 +260,13 @@ mod tests {
         // what the root can deliver in time.
         let forest = fig4_forest();
         let times = consecutive_slots(8);
-        for engine in ENGINES {
-            let err = simulate_with(&forest, &times, 8, cfg(engine)).unwrap_err();
+        for (engine, run) in ENGINES {
+            let err = run(&forest, &times, 8, SimConfig::default()).unwrap_err();
             // Either a coverage failure or a stall, depending on which
             // client trips first — both are model-consistency failures.
             match err {
                 SimError::Model(_) | SimError::Stall { .. } | SimError::StreamTooShort { .. } => {}
-                other => panic!("unexpected error {other:?} ({engine:?})"),
+                other => panic!("unexpected error {other:?} ({engine})"),
             }
         }
     }
@@ -302,18 +275,17 @@ mod tests {
     fn buffer_bound_enforced() {
         let forest = fig4_forest();
         let times = consecutive_slots(8);
-        for engine in ENGINES {
-            let err = simulate_with(
+        for (engine, run) in ENGINES {
+            let err = run(
                 &forest,
                 &times,
                 15,
                 SimConfig {
                     buffer_bound: Some(3),
-                    engine,
                 },
             )
             .unwrap_err();
-            assert!(matches!(err, SimError::BufferOverflow { .. }), "{engine:?}");
+            assert!(matches!(err, SimError::BufferOverflow { .. }), "{engine}");
         }
     }
 
@@ -322,10 +294,10 @@ mod tests {
         // Clients receive their first parts exactly as they play them.
         let forest = fig4_forest();
         let times = consecutive_slots(8);
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &times, 15, cfg(engine)).unwrap();
+        for (engine, run) in ENGINES {
+            let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
             for cr in &report.clients {
-                assert_eq!(cr.min_slack, 0, "client {} ({engine:?})", cr.client);
+                assert_eq!(cr.min_slack, 0, "client {} ({engine})", cr.client);
             }
         }
     }
@@ -334,8 +306,8 @@ mod tests {
     fn bandwidth_profile_peaks_match_fig3() {
         let forest = fig4_forest();
         let times = consecutive_slots(8);
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &times, 15, cfg(engine)).unwrap();
+        for (_, run) in ENGINES {
+            let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
             // At slot 7 streams A, D(3..8), F(5..14), H(7..9) are live -> 4
             // concurrent; G lives only in slot 6..7.
             assert!(report.bandwidth.peak() >= 4);
@@ -348,8 +320,8 @@ mod tests {
         let t = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
         let forest = MergeForest::from_trees(vec![t.clone(), t]).unwrap();
         let times = consecutive_slots(6);
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &times, 10, cfg(engine)).unwrap();
+        for (_, run) in ENGINES {
+            let report = run(&forest, &times, 10, SimConfig::default()).unwrap();
             assert_eq!(report.total_units, 2 * 10 + 3 + 3);
         }
     }
@@ -359,8 +331,8 @@ mod tests {
         // Regression: zero arrivals used to be unconstructible/panicky; it
         // must now produce an empty report on both engines.
         let forest = MergeForest::empty();
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &[], 15, cfg(engine)).unwrap();
+        for (_, run) in ENGINES {
+            let report = run(&forest, &[], 15, SimConfig::default()).unwrap();
             assert_eq!(report.total_units, 0);
             assert!(report.clients.is_empty());
             assert!(report.bandwidth.is_empty());
@@ -372,8 +344,8 @@ mod tests {
     fn single_arrival_forest_simulates() {
         let forest = MergeForest::single(MergeTree::singleton());
         let times = [5i64];
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &times, 12, cfg(engine)).unwrap();
+        for (_, run) in ENGINES {
+            let report = run(&forest, &times, 12, SimConfig::default()).unwrap();
             assert_eq!(report.total_units, 12);
             assert_eq!(report.clients.len(), 1);
             let cr = &report.clients[0];
@@ -392,8 +364,8 @@ mod tests {
         let trees = vec![MergeTree::singleton(); 3];
         let forest = MergeForest::from_trees(trees).unwrap();
         let times = [0i64, 4, 9];
-        for engine in ENGINES {
-            let report = simulate_with(&forest, &times, 0, cfg(engine)).unwrap();
+        for (_, run) in ENGINES {
+            let report = run(&forest, &times, 0, SimConfig::default()).unwrap();
             assert_eq!(report.total_units, 0);
             assert_eq!(report.clients.len(), 3);
             for cr in &report.clients {
@@ -410,20 +382,19 @@ mod tests {
         // constrains indices): with times [0, 5, 2] client 2's part-deadline
         // fires before client 1's, but the reported error must still be
         // client 1's, the dense index-order scan's. Globally unsorted times
-        // take the dense oracle on every engine setting.
+        // take the dense oracle from the production entry point too.
         let tree = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
         let forest = MergeForest::single(tree);
         let times = [0i64, 5, 2];
-        let ok_dense = simulate_with(&forest, &times, 40, cfg(Engine::Dense));
-        let ok_events = simulate_with(&forest, &times, 40, cfg(Engine::Events));
+        let ok_dense = dense::simulate(&forest, &times, 40, SimConfig::default());
+        let ok_events = simulate_with(&forest, &times, 40, SimConfig::default());
         assert!(ok_dense.is_ok());
         assert_eq!(ok_dense, ok_events);
-        let err_cfg = |engine| SimConfig {
+        let bounded = SimConfig {
             buffer_bound: Some(0),
-            engine,
         };
-        let err_dense = simulate_with(&forest, &times, 40, err_cfg(Engine::Dense)).unwrap_err();
-        let err_events = simulate_with(&forest, &times, 40, err_cfg(Engine::Events)).unwrap_err();
+        let err_dense = dense::simulate(&forest, &times, 40, bounded).unwrap_err();
+        let err_events = simulate_with(&forest, &times, 40, bounded).unwrap_err();
         assert_eq!(err_dense, err_events);
         assert!(matches!(
             err_dense,
@@ -442,7 +413,7 @@ mod tests {
         let forest = MergeForest::from_trees(trees).unwrap();
         let times: Vec<i64> = (0..n as i64).map(|i| i * 100).collect();
         let mut served = 0usize;
-        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::events(), |r| {
+        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::default(), |r| {
             assert_eq!(r.client, served, "deadline order is arrival order");
             served += 1;
         })
@@ -461,7 +432,7 @@ mod tests {
         let forest = MergeForest::single(MergeTree::chain(c));
         let times = consecutive_slots(c);
         let mut reports = Vec::new();
-        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::events(), |r| {
+        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::default(), |r| {
             reports.push(r)
         })
         .unwrap();
@@ -475,8 +446,8 @@ mod tests {
     #[test]
     fn media_len_overflow_is_rejected_up_front() {
         let forest = MergeForest::single(MergeTree::singleton());
-        for engine in ENGINES {
-            let err = simulate_with(&forest, &[0], u64::MAX, cfg(engine)).unwrap_err();
+        for (_, run) in ENGINES {
+            let err = run(&forest, &[0], u64::MAX, SimConfig::default()).unwrap_err();
             assert!(matches!(err, SimError::MediaLenOverflow { .. }));
         }
     }

@@ -38,8 +38,7 @@ pub use channels::{assign_channels, ChannelPlan};
 pub use continuous::{verify_continuous, ContinuousError};
 pub use engine::{
     simulate, simulate_incremental, simulate_streaming_slice, simulate_with, Attach, ClientReport,
-    Engine, IncrementalEngine, IncrementalSummary, IngestError, SimConfig, SimReport,
-    StreamingSummary,
+    IncrementalEngine, IncrementalSummary, IngestError, SimConfig, SimReport, StreamingSummary,
 };
 pub use error::SimError;
 pub use metrics::BandwidthProfile;

@@ -105,14 +105,14 @@ impl<'a> ScheduleStream<'a> {
     }
 
     /// Number of trees not yet yielded.
-    pub fn remaining_trees(&self) -> usize {
+    fn remaining_trees(&self) -> usize {
         self.forest.num_trees() - self.next_tree
     }
 
     /// Number of arrivals (equivalently, stream specs) the remaining walk
     /// will yield — exact, since every arrival carries exactly one stream.
-    /// The sibling of [`remaining_trees`](Self::remaining_trees) at arrival
-    /// granularity: consumers that flatten many schedules back to back (the
+    /// The arrival-granularity sibling of the iterator's `size_hint` (which
+    /// counts trees): consumers that flatten many schedules back to back (the
     /// dynamic server's materializer draining a depth-K backlog of planned
     /// epochs) use it to pre-size their spec sinks from the stream's own
     /// contract instead of re-deriving the count from the forest they built.

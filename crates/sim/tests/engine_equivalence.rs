@@ -1,5 +1,5 @@
 //! Oracle equivalence: the production path must reproduce the dense
-//! slot-stepped oracle *bit for bit* — the engine's running bandwidth peak
+//! slot-stepped oracle (`engine::dense::simulate`) *bit for bit* — the engine's running bandwidth peak
 //! and total against the peak and total of the oracle's schedule-swept
 //! profile, same per-client `max_buffer`/`max_concurrent`/`min_slack`,
 //! and the same first error on infeasible inputs — across randomized
@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use sm_core::{consecutive_slots, MergeForest, MergeTree};
+use sm_sim::engine::dense;
 use sm_sim::{
     simulate_incremental, simulate_streaming_slice, simulate_with, ClientReport, IngestError,
     SimConfig, SimError, SimReport,
@@ -28,24 +29,9 @@ fn run_both(
     Result<SimReport, sm_sim::SimError>,
     Result<SimReport, sm_sim::SimError>,
 ) {
-    let dense = simulate_with(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            buffer_bound,
-            ..SimConfig::dense()
-        },
-    );
-    let events = simulate_with(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            buffer_bound,
-            ..SimConfig::events()
-        },
-    );
+    let config = SimConfig { buffer_bound };
+    let dense = dense::simulate(forest, times, media_len, config);
+    let events = simulate_with(forest, times, media_len, config);
     (dense, events)
 }
 
@@ -60,16 +46,10 @@ fn run_streaming(
     Vec<ClientReport>,
 ) {
     let mut emitted = Vec::new();
-    let summary = simulate_streaming_slice(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            buffer_bound,
-            ..SimConfig::events()
-        },
-        |r| emitted.push(r),
-    );
+    let summary =
+        simulate_streaming_slice(forest, times, media_len, SimConfig { buffer_bound }, |r| {
+            emitted.push(r)
+        });
     (summary, emitted)
 }
 
@@ -129,16 +109,9 @@ fn assert_incremental_matches(
         return;
     }
     let mut emitted = Vec::new();
-    let got = simulate_incremental(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            buffer_bound,
-            ..SimConfig::events()
-        },
-        |r| emitted.push(r),
-    );
+    let got = simulate_incremental(forest, times, media_len, SimConfig { buffer_bound }, |r| {
+        emitted.push(r)
+    });
     match (dense, got) {
         (Ok(report), Ok(inc)) => {
             assert_eq!(inc.summary.peak_streams, report.bandwidth.peak());
@@ -379,7 +352,7 @@ fn unsorted_times_stream_from_the_dense_oracle_in_deadline_order() {
     let (summary, emitted) = run_streaming(&forest, &times, 40, None);
     let order: Vec<usize> = emitted.iter().map(|r| r.client).collect();
     assert_eq!(order, [0, 2, 1]);
-    let dense = simulate_with(&forest, &times, 40, SimConfig::dense());
+    let dense = dense::simulate(&forest, &times, 40, SimConfig::default());
     assert_eq!(
         summary.unwrap().total_units,
         dense.as_ref().unwrap().total_units
@@ -393,13 +366,12 @@ fn unsorted_times_stream_from_the_dense_oracle_in_deadline_order() {
         matches!(err, SimError::BufferOverflow { client: 1, .. }),
         "{err:?}"
     );
-    let dense_err = simulate_with(
+    let dense_err = dense::simulate(
         &forest,
         &times,
         40,
         SimConfig {
             buffer_bound: Some(0),
-            ..SimConfig::dense()
         },
     )
     .unwrap_err();

@@ -47,7 +47,7 @@ impl BurstyProcess {
 
     /// Long-run mean inter-arrival gap (harmonic mixture weighted by phase
     /// occupancy).
-    pub fn effective_mean_gap(&self) -> f64 {
+    fn effective_mean_gap(&self) -> f64 {
         let p_burst = self.burst_len / (self.burst_len + self.lull_len);
         let rate = p_burst / self.burst_gap + (1.0 - p_burst) / self.lull_gap;
         1.0 / rate

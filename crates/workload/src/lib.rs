@@ -20,7 +20,7 @@ pub mod stats;
 
 pub use arrivals::{ArrivalProcess, ConstantRate, PoissonProcess};
 pub use bursty::BurstyProcess;
-pub use deep_chain::{deep_chain_forest, max_feasible_chain};
+pub use deep_chain::deep_chain_forest;
 pub use diurnal::DiurnalProcess;
 pub use flash_crowd::FlashCrowd;
 pub use stats::Summary;

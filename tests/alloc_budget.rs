@@ -128,7 +128,7 @@ fn batched_star_forest(slots: &[i64]) -> Workload {
 fn events_run_allocations(forest: &MergeForest, times: &[i64]) -> u64 {
     let ckpt = alloc_counter::checkpoint();
     let mut served = 0usize;
-    simulate_streaming_slice(forest, times, MEDIA, SimConfig::events(), |report| {
+    simulate_streaming_slice(forest, times, MEDIA, SimConfig::default(), |report| {
         served += 1;
         black_box(report.max_buffer);
     })
@@ -199,7 +199,7 @@ fn incremental_push_steady_state_is_allocation_free() {
     }
     assert_eq!(attaches.len(), times.len());
 
-    let mut engine = IncrementalEngine::new(MEDIA, SimConfig::events()).expect("valid media len");
+    let mut engine = IncrementalEngine::new(MEDIA, SimConfig::default()).expect("valid media len");
     let mut served = 0usize;
     for i in 0..WARMUP {
         engine

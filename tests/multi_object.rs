@@ -2,9 +2,8 @@
 //! capacity analysis and the aggregate simulation must tell one consistent
 //! story.
 
-use stream_merging::online::capacity::{
-    aggregate_peak, min_delay_for_budget, steady_state_bandwidth, MediaObject,
-};
+use stream_merging::experiments::server_exp::plan_uniform;
+use stream_merging::online::capacity::steady_state_bandwidth;
 use stream_merging::server::{aggregate_profile, plan_weighted, simulate_requests, Catalog, Title};
 
 fn catalog() -> Catalog {
@@ -32,27 +31,17 @@ const CANDS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
 #[test]
 fn weighted_planner_beats_uniform_capacity_planning() {
     let c = catalog();
-    // Uniform plan via the sm-online capacity API on equivalent objects.
-    let objects: Vec<MediaObject> = c
-        .titles()
-        .iter()
-        .map(|t| MediaObject {
-            name: t.name.clone(),
-            duration_minutes: t.duration_minutes,
-        })
-        .collect();
     let full = plan_weighted(&c, u64::MAX, &[1.0]).unwrap().total_peak;
     let budget = full * 2 / 3;
-    let uniform_delay = min_delay_for_budget(&objects, budget, &CANDS)
-        .expect("uniform plan fits at some candidate");
-    let probs = c.probabilities();
-    let uniform_expected: f64 = probs.iter().map(|p| p * uniform_delay).sum();
+    let uniform = plan_uniform(&c, budget, &CANDS).expect("uniform plan fits at some candidate");
+    assert!(uniform.total_peak <= budget);
 
     let weighted = plan_weighted(&c, budget, &CANDS).expect("weighted plan fits");
     assert!(
-        weighted.expected_delay <= uniform_expected + 1e-9,
-        "weighted {} vs uniform {uniform_expected}",
-        weighted.expected_delay
+        weighted.expected_delay <= uniform.expected_delay + 1e-9,
+        "weighted {} vs uniform {}",
+        weighted.expected_delay,
+        uniform.expected_delay
     );
 }
 
@@ -64,20 +53,17 @@ fn planner_peaks_are_exactly_capacity_peaks() {
         let l = t.media_len(plan.delays_minutes[i]);
         assert_eq!(plan.peaks[i], steady_state_bandwidth(l).peak);
     }
-    // And the planned total equals the capacity-API aggregate for the
-    // uniform special case.
-    let objects: Vec<MediaObject> = c
-        .titles()
-        .iter()
-        .map(|t| MediaObject {
-            name: t.name.clone(),
-            duration_minutes: t.duration_minutes,
-        })
-        .collect();
-    let plan_1min = plan_weighted(&c, u64::MAX, &[1.0]).unwrap();
-    // `MediaObject::media_len` rounds, `Title::media_len` ceils; on these
-    // durations with 1-minute delays both give the same integer lengths.
-    assert_eq!(plan_1min.total_peak, aggregate_peak(&objects, 1.0));
+    // Per-title peaks add up: the uniform plan's total is the sum of the
+    // titles' steady-state peaks at the one delay.
+    for d in CANDS {
+        let uniform = plan_uniform(&c, u64::MAX, &[d]).unwrap();
+        let sum: u64 = c
+            .titles()
+            .iter()
+            .map(|t| steady_state_bandwidth(t.media_len(d)).peak as u64)
+            .sum();
+        assert_eq!(uniform.total_peak, sum, "delay {d} min");
+    }
 }
 
 #[test]

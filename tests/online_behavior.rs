@@ -4,7 +4,7 @@
 
 use stream_merging::core::consecutive_slots;
 use stream_merging::online::batching::{batch_arrivals, batched_dyadic_cost, plain_batching_cost};
-use stream_merging::online::capacity::{steady_state_bandwidth, MediaObject};
+use stream_merging::online::capacity::steady_state_bandwidth;
 use stream_merging::online::delay_guaranteed::online_full_cost;
 use stream_merging::online::dyadic::{dyadic_forest, dyadic_total_cost, DyadicConfig};
 use stream_merging::online::hybrid::{HybridConfig, HybridServer};
@@ -113,25 +113,4 @@ fn hybrid_server_matches_components_at_extremes() {
     }
     // 8 isolated arrivals (gap 40 > β·L = 25): 8 full streams.
     assert_eq!(idle.total_cost(), 8.0 * 50.0);
-}
-
-#[test]
-fn multi_object_peaks_add_up() {
-    use stream_merging::online::capacity::aggregate_peak;
-    let objects = vec![
-        MediaObject {
-            name: "film".into(),
-            duration_minutes: 90.0,
-        },
-        MediaObject {
-            name: "short".into(),
-            duration_minutes: 30.0,
-        },
-    ];
-    let d = 3.0;
-    let sum: u64 = objects
-        .iter()
-        .map(|o| steady_state_bandwidth(o.media_len(d)).peak as u64)
-        .sum();
-    assert_eq!(aggregate_peak(&objects, d), sum);
 }

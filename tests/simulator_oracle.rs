@@ -7,7 +7,7 @@ use stream_merging::core::{consecutive_slots, required_buffer};
 use stream_merging::offline::forest::{optimal_forest, optimal_forest_bounded_buffer};
 use stream_merging::offline::general;
 use stream_merging::online::DelayGuaranteedOnline;
-use stream_merging::sim::{simulate, simulate_with, SimConfig};
+use stream_merging::sim::{engine::dense, simulate, simulate_with, SimConfig};
 
 #[test]
 fn optimal_forests_execute_across_grid() {
@@ -75,7 +75,6 @@ fn bounded_buffer_forests_respect_bound_in_simulation() {
             media_len,
             SimConfig {
                 buffer_bound: Some(buffer),
-                ..SimConfig::default()
             },
         )
         .unwrap_or_else(|e| panic!("L = {media_len}, n = {n}, B = {buffer}: {e}"));
@@ -120,8 +119,8 @@ fn dense_and_event_engines_agree_end_to_end() {
     for (media_len, n) in [(15u64, 8usize), (40, 60), (100, 200)] {
         let plan = optimal_forest(media_len, n);
         let times = consecutive_slots(n);
-        let dense = simulate_with(&plan.forest, &times, media_len, SimConfig::dense()).unwrap();
-        let events = simulate_with(&plan.forest, &times, media_len, SimConfig::events()).unwrap();
+        let dense = dense::simulate(&plan.forest, &times, media_len, SimConfig::default()).unwrap();
+        let events = simulate_with(&plan.forest, &times, media_len, SimConfig::default()).unwrap();
         assert_eq!(dense, events, "L = {media_len}, n = {n}");
     }
 }
