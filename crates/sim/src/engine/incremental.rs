@@ -30,7 +30,17 @@
 //!   part-deadline `t_c + L` falls strictly before the ingest clock.
 //!   Reports stream out through `emit` in deadline order (ties by arrival
 //!   index), with exactly the values and first error of the
-//!   [`dense`](super::dense) oracle;
+//!   [`dense`](super::dense) oracle. A client `c` tied to its parent `p`
+//!   (`t_c = t_p`: a joiner batched onto its group's stream) re-emits
+//!   `p`'s report with only `client` changed when `p` is the client last
+//!   evaluated. That is exact: `c`'s own segment is empty (`first = 1`,
+//!   `last = t_c − t_p = 0`); every other segment's closed forms read only
+//!   `t_k = t_c = t_p` and the shared path times, so they equal `p`'s and
+//!   read the same `lengths` entries; `p` and `c` share a deadline, so `c`
+//!   is already ingested when `p` fires and both fire in one
+//!   `fire_deadlines` call, with no push between them to grow a length;
+//!   and a report is cached only once its evaluation returns `Ok`, so a
+//!   parent's error still fires first, at the parent's index;
 //! * **the bandwidth running peak finalizes at tree closure** — a stream's
 //!   end moves later while descendants can still attach (a tied co-arrival
 //!   even gains its start retroactively), so a tree hands its streams to
@@ -309,6 +319,15 @@ pub struct IncrementalEngine {
     total_units: i64,
     max_open_trees: usize,
     scratch: EngineScratch,
+    /// The last report [`eval_client`] returned `Ok`, keyed by its
+    /// `client`. A client whose parent is that client, at the same arrival
+    /// time, re-emits it with only `client` changed: its own segment is
+    /// empty (`first = 1`, `last = t_c − t_p = 0`), every other segment has
+    /// the parent's closed forms and reads the same `lengths` entries, and
+    /// the shared deadline puts both in one `fire_deadlines` call with no
+    /// push between. Error reports are never cached, so a parent's error
+    /// fires first, at the parent's index (module docs).
+    last_eval: Option<ClientReport>,
 }
 
 impl IncrementalEngine {
@@ -333,6 +352,7 @@ impl IncrementalEngine {
             total_units: 0,
             max_open_trees: 0,
             scratch: EngineScratch::default(),
+            last_eval: None,
         })
     }
 
@@ -444,15 +464,25 @@ impl IncrementalEngine {
             debug_assert!(range.contains(&self.ci));
             let tree = self.columns.tree(range);
             let local = self.ci - tree.base;
-            // Tentative lengths are safe for open-tree clients: every length
-            // a client reads can only grow past demands fixed at its arrival.
-            emit(eval_client(
-                tree,
-                local,
-                self.media_len,
-                self.config,
-                &mut self.scratch,
-            )?);
+            let up = tree.parent[local];
+            let tied = local != 0 && tree.times[up] == tree.times[local];
+            let report = match self.last_eval {
+                // A client tied to its parent shares the parent's report.
+                Some(r) if tied && r.client == tree.base + up => ClientReport {
+                    client: self.ci,
+                    ..r
+                },
+                // Tentative lengths are safe for open-tree clients: every
+                // length a client reads can only grow past demands fixed at
+                // its arrival.
+                _ => {
+                    let r =
+                        eval_client(tree, local, self.media_len, self.config, &mut self.scratch)?;
+                    self.last_eval = Some(r);
+                    r
+                }
+            };
+            emit(report);
             self.ci += 1;
             if self.closed.front().is_some_and(|t| t.end == self.ci) {
                 self.closed.pop_front();
@@ -856,21 +886,30 @@ mod tests {
     }
 
     /// The engine against the dense oracle on sorted times; pins summary,
-    /// reports, emission order (= index order) and the first error.
-    fn assert_matches_dense(forest: &MergeForest, times: &[i64], media_len: u64) {
-        let expected = dense::simulate(forest, times, media_len, SimConfig::default());
+    /// reports, emission order (= index order) and the first error, and
+    /// returns the engine's reports or error.
+    fn assert_matches_dense(
+        forest: &MergeForest,
+        times: &[i64],
+        media_len: u64,
+        buffer_bound: Option<u64>,
+    ) -> Result<Vec<ClientReport>, SimError> {
+        let config = SimConfig { buffer_bound };
+        let expected = dense::simulate(forest, times, media_len, config);
         let mut inc = Vec::new();
-        let got = simulate_incremental(forest, times, media_len, SimConfig::default(), |r| {
-            inc.push(r)
-        });
+        let got = simulate_incremental(forest, times, media_len, config, |r| inc.push(r));
         match (expected, got) {
             (Ok(report), Ok(isummary)) => {
                 assert_eq!(isummary.summary.peak_streams, report.bandwidth.peak());
                 assert_eq!(isummary.summary.total_units, report.total_units);
                 assert_eq!(isummary.summary.clients, report.clients.len());
                 assert_eq!(inc, report.clients, "reports and emission order must pin");
+                Ok(inc)
             }
-            (Err(e), Err(IngestError::Sim(ie))) => assert_eq!(ie, e),
+            (Err(e), Err(IngestError::Sim(ie))) => {
+                assert_eq!(ie, e);
+                Err(ie)
+            }
             (e, g) => panic!("engines disagree on outcome: {e:?} vs {g:?}"),
         }
     }
@@ -878,7 +917,7 @@ mod tests {
     #[test]
     fn fig4_pins_against_the_dense_oracle() {
         let forest = fig4_forest();
-        assert_matches_dense(&forest, &consecutive_slots(8), 15);
+        assert_matches_dense(&forest, &consecutive_slots(8), 15, None).unwrap();
     }
 
     #[test]
@@ -887,7 +926,7 @@ mod tests {
         let forest = MergeForest::from_trees(vec![t.clone(), t, MergeTree::singleton()]).unwrap();
         // Ties within a tree, a tie across the tree boundary, and a gap.
         let times = vec![0, 0, 2, 2, 2, 3, 3, 5, 40];
-        assert_matches_dense(&forest, &times, 12);
+        assert_matches_dense(&forest, &times, 12, None).unwrap();
     }
 
     #[test]
@@ -898,7 +937,61 @@ mod tests {
         // events to wait for tree closure.
         let tree = MergeTree::from_parents(&[None, Some(0), Some(1)]).unwrap();
         let forest = MergeForest::single(tree);
-        assert_matches_dense(&forest, &[5, 5, 7], 20);
+        assert_matches_dense(&forest, &[5, 5, 7], 20, None).unwrap();
+    }
+
+    /// Root 0 at slot 0; head 1 at slot 3 merges under it, and joiners
+    /// 2..=4 tie with the head under it. The head needs a 3-part buffer
+    /// (two streams in hand over slots 3..6); the root needs none.
+    fn joiner_group() -> (MergeForest, Vec<i64>) {
+        let tree = MergeTree::from_parents(&[None, Some(0), Some(1), Some(1), Some(1)]).unwrap();
+        (MergeForest::single(tree), vec![0, 3, 3, 3, 3])
+    }
+
+    #[test]
+    fn tied_joiners_reuse_their_heads_report() {
+        let (forest, times) = joiner_group();
+        let reports = assert_matches_dense(&forest, &times, 20, None).unwrap();
+        assert_eq!(reports[1].max_buffer, 3);
+        for (client, report) in reports.iter().enumerate().skip(2) {
+            assert_eq!(
+                *report,
+                ClientReport {
+                    client,
+                    ..reports[1]
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn tied_joiners_under_a_buffer_bound_fail_at_their_head() {
+        // The head's overflow must fire at the head's index, before any
+        // joiner could reuse a report.
+        let (forest, times) = joiner_group();
+        let err = assert_matches_dense(&forest, &times, 20, Some(2)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::BufferOverflow {
+                client: 1,
+                needed: 3,
+                bound: 2
+            }
+        );
+    }
+
+    #[test]
+    fn tied_grandchildren_pin() {
+        // 2 ties with head 1 and 3 ties with 2 (a tied grandchild, whose
+        // parent's report was reused, not evaluated); 4 arrives later under
+        // 2, giving stream 2 a length, and 5 ties with 4.
+        let parents = [None, Some(0), Some(1), Some(2), Some(2), Some(4)];
+        let forest = MergeForest::single(MergeTree::from_parents(&parents).unwrap());
+        let times = [0, 3, 3, 3, 5, 5];
+        assert_matches_dense(&forest, &times, 20, None).unwrap();
+        for bound in 0..6 {
+            let _ = assert_matches_dense(&forest, &times, 20, Some(bound));
+        }
     }
 
     #[test]
@@ -906,19 +999,12 @@ mod tests {
         let media = 40u64;
         let c = (media / 2 + 1) as usize;
         let forest = MergeForest::single(MergeTree::chain(c));
-        assert_matches_dense(&forest, &consecutive_slots(c), media);
+        assert_matches_dense(&forest, &consecutive_slots(c), media, None).unwrap();
     }
 
     #[test]
     fn buffer_bound_error_pins() {
-        let forest = fig4_forest();
-        let times = consecutive_slots(8);
-        let cfg = SimConfig {
-            buffer_bound: Some(1),
-        };
-        let dense = dense::simulate(&forest, &times, 15, cfg).unwrap_err();
-        let got = simulate_incremental(&forest, &times, 15, cfg, |_| {}).unwrap_err();
-        assert_eq!(got, IngestError::Sim(dense));
+        assert_matches_dense(&fig4_forest(), &consecutive_slots(8), 15, Some(1)).unwrap_err();
     }
 
     #[test]

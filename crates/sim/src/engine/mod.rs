@@ -50,7 +50,7 @@ impl SimConfig {
 }
 
 /// Per-client measurements.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientReport {
     /// Global arrival index.
     pub client: usize,

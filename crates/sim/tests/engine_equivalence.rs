@@ -290,6 +290,62 @@ proptest! {
     }
 
     #[test]
+    fn joiner_groups_pin_both_engines_under_buffer_bounds(
+        seeds in proptest::collection::vec(0u64..1_000_000_000, 1..24),
+        media_len in 2u64..24,
+        bound in 0u64..12,
+    ) {
+        // The serving loop's batching shape: each seed is a group head that
+        // either opens a new tree or merges under an arbitrary earlier head
+        // of the open tree, followed by 0–3 joiners merged at its slot
+        // under a head of that slot — its own, or an earlier tied head's,
+        // so groups interleave. The incremental engine re-emits a head's
+        // report for its joiners, so under a buffer bound the head's own
+        // error must still fire first, at the head's index.
+        let mut parents_by_tree: Vec<Vec<Option<usize>>> = Vec::new();
+        let mut heads: Vec<usize> = Vec::new();
+        let mut tied_heads: Vec<usize> = Vec::new();
+        let mut times = Vec::new();
+        let mut t = 0i64;
+        for (i, &s) in seeds.iter().enumerate() {
+            let gap = if i == 0 { 0 } else { (s % 3) as i64 };
+            t += gap;
+            if i == 0 || (s / 3) % 4 == 0 {
+                parents_by_tree.push(vec![None]);
+                heads.clear();
+                tied_heads.clear();
+            } else {
+                let up = heads[(s / 12) as usize % heads.len()];
+                parents_by_tree.last_mut().unwrap().push(Some(up));
+            }
+            if gap > 0 {
+                tied_heads.clear();
+            }
+            let open = parents_by_tree.last_mut().unwrap();
+            heads.push(open.len() - 1);
+            tied_heads.push(open.len() - 1);
+            times.push(t);
+            let mut pick = s / 12_000;
+            for _ in 0..pick % 4 {
+                pick /= 4;
+                // This slot's newest head, or the one before it.
+                let back = ((pick % 2) as usize).min(tied_heads.len() - 1);
+                let up = tied_heads[tied_heads.len() - 1 - back];
+                open.push(Some(up));
+                times.push(t);
+            }
+        }
+        let trees: Vec<MergeTree> = parents_by_tree
+            .iter()
+            .map(|p| MergeTree::from_parents(p).unwrap())
+            .collect();
+        let forest = MergeForest::from_trees(trees).unwrap();
+        prop_assert!(times.windows(2).all(|w| w[0] <= w[1]), "generator premise");
+        assert_engines_agree(&forest, &times, media_len, None);
+        assert_engines_agree(&forest, &times, media_len, Some(bound));
+    }
+
+    #[test]
     fn adversarial_mixed_forests_pin_both_engines(
         seeds in proptest::collection::vec(0u64..1_000_000_000, 1..36),
         media_len in 0u64..12,

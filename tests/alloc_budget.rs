@@ -16,7 +16,8 @@
 //!   arrivals, wide trees).
 //! * **incremental** — after a warm-up prefix of pushes has grown every
 //!   pool and buffer, the remaining pushes allocate nothing at all (the
-//!   bandwidth meter is a running peak).
+//!   bandwidth meter is a running peak), both on deep chains and on
+//!   joiner-heavy batched stars, whose joiners re-emit their root's report.
 //! * **dyadic policy** — `DyadicMerger` keeps only the open tree's frame
 //!   stack, so once the stack has reached its working depth the policy's
 //!   pushes allocate nothing at all.
@@ -179,45 +180,36 @@ fn events_steady_state_is_allocation_free() {
     assert_cold_runs_do_not_scale("flash crowd", flash_crowd_stars);
 }
 
-#[test]
-fn incremental_push_steady_state_is_allocation_free() {
-    const TOTAL: usize = 20_000;
-    const WARMUP: usize = 2_000;
-    // Deep chains recycle tree storage constantly: every tree the cursor
-    // drains returns its columns to the pool for the next chain to reuse.
-    let (forest, times) = deep_chain_forest(TOTAL, MEDIA);
-    let mut attaches = Vec::with_capacity(times.len());
-    let mut base = 0usize;
-    for tree in forest.trees() {
-        let parents = tree.to_parents();
-        attaches.push(Attach::Root);
-        for parent in parents.iter().skip(1) {
-            let parent = parent.expect("non-root chain nodes have parents");
-            attaches.push(Attach::Under(base + parent));
-        }
-        base += parents.len();
+/// `forest`'s arrivals as the engine's push sequence, in global order.
+fn attaches(forest: &MergeForest) -> Vec<Attach> {
+    let mut attaches = Vec::with_capacity(forest.total_arrivals());
+    for (range, tree) in forest.iter_with_ranges() {
+        attaches.extend((0..tree.len()).map(|local| match tree.parent(local) {
+            None => Attach::Root,
+            Some(p) => Attach::Under(range.start + p),
+        }));
     }
-    assert_eq!(attaches.len(), times.len());
+    attaches
+}
 
+/// Pushes `(forest, times)` through one engine and returns the allocations
+/// of every push after the first `warmup` (which grow the buffers).
+fn push_allocations_after_warmup(forest: &MergeForest, times: &[i64], warmup: usize) -> u64 {
+    let attaches = attaches(forest);
+    assert_eq!(attaches.len(), times.len());
     let mut engine = IncrementalEngine::new(MEDIA, SimConfig::default()).expect("valid media len");
     let mut served = 0usize;
-    for i in 0..WARMUP {
+    let mut push = |engine: &mut IncrementalEngine, i: usize| {
         engine
             .push(times[i], attaches[i], |report| {
                 served += 1;
                 black_box(report.max_buffer);
             })
-            .expect("deep chains are feasible by construction");
-    }
+            .expect("the plan is feasible by construction");
+    };
+    (0..warmup).for_each(|i| push(&mut engine, i));
     let ckpt = alloc_counter::checkpoint();
-    for i in WARMUP..times.len() {
-        engine
-            .push(times[i], attaches[i], |report| {
-                served += 1;
-                black_box(report.max_buffer);
-            })
-            .expect("deep chains are feasible by construction");
-    }
+    (warmup..times.len()).for_each(|i| push(&mut engine, i));
     let steady = ckpt.allocations_since();
     let inc = engine
         .finish(|report| {
@@ -227,11 +219,42 @@ fn incremental_push_steady_state_is_allocation_free() {
         .expect("finish drains every pending deadline");
     assert_eq!(served, times.len());
     assert_eq!(inc.summary.clients, times.len());
+    steady
+}
+
+#[test]
+fn incremental_push_steady_state_is_allocation_free() {
+    const TOTAL: usize = 20_000;
+    const WARMUP: usize = 2_000;
+    // Deep chains recycle tree storage constantly: every tree the cursor
+    // drains frees its columns for the next chain to reuse.
+    let (forest, times) = deep_chain_forest(TOTAL, MEDIA);
+    let steady = push_allocations_after_warmup(&forest, &times, WARMUP);
     assert_eq!(
         steady,
         0,
-        "the engine allocated {steady} times over its last {} pushes",
+        "deep chains: the engine allocated {steady} times over its last {} pushes",
         TOTAL - WARMUP
+    );
+    // Joiner-heavy: Poisson traffic at four arrivals per slot, batched into
+    // stars, so most clients tie with their tree's root and re-emit its
+    // report instead of evaluating their own.
+    let slots: Vec<i64> = PoissonProcess::new(0.25, 11)
+        .generate(TOTAL as f64 / 4.0)
+        .into_iter()
+        .map(|t| t.floor() as i64)
+        .collect();
+    let (forest, times) = batched_star_forest(&slots);
+    assert!(
+        forest.num_trees() * 2 < times.len(),
+        "premise: most arrivals are joiners"
+    );
+    let steady = push_allocations_after_warmup(&forest, &times, WARMUP);
+    assert_eq!(
+        steady,
+        0,
+        "joiner-heavy stars: the engine allocated {steady} times over its last {} pushes",
+        times.len() - WARMUP
     );
 }
 
