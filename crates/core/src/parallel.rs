@@ -4,7 +4,7 @@
 //! Experiment sweeps are embarrassingly parallel across their points, and the
 //! §5 multi-object server simulates its titles independently — both shard
 //! through [`parallel_map`]: `std::thread::scope` workers pull indices off a
-//! shared atomic counter and write results through a `parking_lot` mutex — no
+//! shared atomic counter and write results through a per-slot mutex — no
 //! `unsafe`, no cloning of inputs, and results are always returned in input
 //! order, so parallel callers are bit-identical to sequential ones.
 //!
@@ -22,10 +22,9 @@
 //! while a `pipeline` call from inside a `parallel_map` worker runs inline
 //! so nesting never oversubscribes the machine.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Condvar, Mutex};
 
 std::thread_local! {
     /// `true` while the current thread is a `parallel_map` worker: nested
@@ -64,7 +63,7 @@ where
                         break;
                     }
                     let r = f(&items[i]);
-                    *slots[i].lock() = Some(r);
+                    *recover(slots[i].lock()) = Some(r);
                 }
             });
         }
@@ -72,7 +71,7 @@ where
     slots
         .into_iter()
         // sm-lint: allow(no-panic-surface) — scope() joined every worker, and each worker fills its claimed slots before exiting
-        .map(|m| m.into_inner().expect("every slot filled"))
+        .map(|m| recover(m.into_inner()).expect("every slot filled"))
         .collect()
 }
 
@@ -89,15 +88,16 @@ struct ChannelState<T> {
 }
 
 struct Channel<T> {
-    state: StdMutex<ChannelState<T>>,
+    state: Mutex<ChannelState<T>>,
     cv: Condvar,
     depth: usize,
 }
 
-/// Recovers the guard from a poisoned `std` lock. Every critical section
-/// below is a handful of field reads/writes with no user code, so a poisoned
-/// mutex still holds consistent state — recovering beats propagating a panic
-/// out of the channel plumbing.
+/// Recovers the guard from a poisoned `std` lock. Every critical section in
+/// this file (a result slot's write, the channel's field updates) is a
+/// handful of field reads/writes with no user code, so a poisoned mutex
+/// still holds consistent state — recovering beats propagating a panic out
+/// of the plumbing.
 fn recover<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -105,7 +105,7 @@ fn recover<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
 impl<T> Channel<T> {
     fn new(depth: usize) -> Self {
         Self {
-            state: StdMutex::new(ChannelState {
+            state: Mutex::new(ChannelState {
                 buf: VecDeque::with_capacity(depth),
                 closed: false,
                 aborted: false,
@@ -317,11 +317,11 @@ mod tests {
             10,
             1,
             |i| {
-                produced.lock().push(i);
+                produced.lock().unwrap().push(i);
                 Ok(i * 10)
             },
             |i, item| {
-                consumed.lock().push((i, item));
+                consumed.lock().unwrap().push((i, item));
                 Ok(item + 1)
             },
         );
@@ -329,9 +329,9 @@ mod tests {
             out.unwrap(),
             (0..10).map(|i| i * 10 + 1).collect::<Vec<_>>()
         );
-        assert_eq!(*produced.lock(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*produced.lock().unwrap(), (0..10).collect::<Vec<_>>());
         assert_eq!(
-            *consumed.lock(),
+            *consumed.lock().unwrap(),
             (0..10).map(|i| (i, i * 10)).collect::<Vec<_>>()
         );
     }
@@ -358,13 +358,13 @@ mod tests {
                 }
             },
             |i, item| {
-                consumed.lock().push(i);
+                consumed.lock().unwrap().push(i);
                 Ok(item)
             },
         );
         assert_eq!(out.unwrap_err(), "produce 3 failed");
         // Everything produced before the failure was consumed, in order.
-        assert_eq!(*consumed.lock(), vec![0, 1, 2]);
+        assert_eq!(*consumed.lock().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]

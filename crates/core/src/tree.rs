@@ -15,19 +15,22 @@ use crate::error::ModelError;
 /// the cost functions, so one tree shape can be priced against any time axis
 /// (consecutive slots for the delay-guaranteed model, real timestamps for the
 /// dyadic algorithm).
+///
+/// It is stored as two `u32` columns, `parent` and `last_descendant`, so a
+/// tree costs two allocations however many nodes it has. Child lists are
+/// derived: the children of `x` are the labels `c` in `x+1 ..= z(x)` with
+/// `parent(c) = x`, in increasing (arrival) order — see [`Self::children`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeTree {
     /// `parent[i]` for non-root `i`; `parent[0]` is unused (stored as 0).
     parent: Vec<u32>,
-    /// Children of each node, in increasing (arrival) order.
-    children: Vec<Vec<u32>>,
     /// `z[i]`: the largest label in the subtree rooted at `i` (the paper's
     /// `z(x)`, the last arrival that still needs stream `i`).
     last_descendant: Vec<u32>,
 }
 
 /// Packs a node label into the `u32` the tree stores (halving the memory of
-/// the three per-node columns). Labels are dense arrival indices, so 2^32
+/// the two per-node columns). Labels are dense arrival indices, so 2^32
 /// nodes would mean four billion arrivals in one merge group — far beyond
 /// any workload the engines generate; debug builds still check.
 fn label(i: usize) -> u32 {
@@ -48,17 +51,13 @@ impl MergeTree {
         }
         let n = parents.len();
         let mut parent = vec![0u32; n];
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, p) in parents.iter().enumerate().skip(1) {
             let p = p.ok_or(ModelError::MissingParent { node: i })?;
             if p >= i {
                 return Err(ModelError::ParentNotEarlier { node: i, parent: p });
             }
             parent[i] = label(p);
-            children[p].push(label(i));
         }
-        // Children were inserted in increasing label order, so sibling order
-        // is automatically the arrival order the paper requires.
         let mut last_descendant: Vec<u32> = (0..label(n)).collect();
         for i in (1..n).rev() {
             let p = parent[i] as usize;
@@ -68,7 +67,6 @@ impl MergeTree {
         }
         Ok(Self {
             parent,
-            children,
             last_descendant,
         })
     }
@@ -120,10 +118,10 @@ impl MergeTree {
         (node != 0).then(|| self.parent[node] as usize)
     }
 
-    /// Ordered children of `node`.
-    #[inline]
-    pub fn children(&self, node: usize) -> &[u32] {
-        &self.children[node]
+    /// Ordered children of `node`: the labels in `node+1 ..= z(node)` whose
+    /// parent is `node`, in `O(subtree size)`.
+    pub fn children(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        (node + 1..=self.last_descendant(node)).filter(move |&c| self.parent[c] as usize == node)
     }
 
     /// The paper's `z(x)`: the largest arrival in the subtree of `node`
@@ -163,21 +161,39 @@ impl MergeTree {
         d
     }
 
-    /// Maximum depth over all nodes (the longest receiving program minus 1).
+    /// Maximum depth over all nodes (the longest receiving program minus 1),
+    /// in one forward pass: parents precede children, so each node's depth
+    /// is its parent's plus one.
     pub fn height(&self) -> usize {
-        (0..self.len()).map(|i| self.depth(i)).max().unwrap_or(0)
+        let mut depth = vec![0usize; self.len()];
+        for i in 1..self.len() {
+            depth[i] = depth[self.parent[i] as usize] + 1;
+        }
+        depth.into_iter().max().unwrap_or(0)
     }
 
-    /// Preorder traversal of the node labels.
+    /// Preorder traversal of the node labels, in `O(n)`.
+    ///
+    /// Each node's preorder position is its parent's position plus one plus
+    /// the subtree sizes of its earlier siblings. Parents precede children
+    /// and siblings come in label order, so one forward pass over the labels
+    /// hands out every position, with subtree sizes from one backward pass.
     pub fn preorder(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut stack = vec![0usize];
-        while let Some(node) = stack.pop() {
-            out.push(node);
-            // Push children in reverse so the leftmost is visited first.
-            for &c in self.children[node].iter().rev() {
-                stack.push(c as usize);
-            }
+        let n = self.len();
+        let mut size = vec![1usize; n];
+        for c in (1..n).rev() {
+            size[self.parent[c] as usize] += size[c];
+        }
+        // `next[x]`: the position of `x`'s next child not yet placed; it is
+        // `pos[x] + 1` until the first child takes it. The root sits at 0.
+        let mut next = vec![1usize; n];
+        let mut out = vec![0usize; n];
+        for c in 1..n {
+            let p = self.parent[c] as usize;
+            let pos = next[p];
+            next[p] += size[c];
+            next[c] = pos + 1;
+            out[pos] = c;
         }
         out
     }
@@ -205,8 +221,8 @@ impl MergeTree {
     }
 
     /// Appends the next arrival (label [`Self::len`]) as the new *last
-    /// child* of `parent`, maintaining sibling order and last-descendant
-    /// labels incrementally — the arrival-at-a-time mirror of
+    /// child* of `parent` (sibling order is label order), maintaining the
+    /// last-descendant labels incrementally — the arrival-at-a-time mirror of
     /// [`Self::from_parents`], in `O(depth(parent))` instead of `O(n)`.
     ///
     /// The new node carries the largest label, so it becomes `z(x)` for
@@ -222,8 +238,6 @@ impl MergeTree {
             return Err(ModelError::ParentNotEarlier { node, parent });
         }
         self.parent.push(label(parent));
-        self.children.push(Vec::new());
-        self.children[parent].push(label(node));
         self.last_descendant.push(label(node));
         let mut cur = parent;
         loop {
@@ -236,20 +250,26 @@ impl MergeTree {
         Ok(node)
     }
 
-    /// Compact single-line rendering, e.g. `(0 (1) (2 (3)))`.
+    /// Compact single-line rendering, e.g. `(0 (1) (2 (3)))`, in `O(n)`:
+    /// walks [`Self::preorder`], closing open nodes until the next node's
+    /// parent is the innermost one still open.
     pub fn to_sexpr(&self) -> String {
-        fn go(tree: &MergeTree, node: usize, out: &mut String) {
-            use std::fmt::Write;
-            let _ = write!(out, "({node}");
-            for &c in tree.children(node) {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let mut open: Vec<usize> = Vec::new();
+        for node in self.preorder() {
+            if let Some(p) = self.parent(node) {
+                while open.last() != Some(&p) {
+                    open.pop();
+                    out.push(')');
+                }
                 out.push(' ');
-                go(tree, c as usize, out);
             }
-            out.push(')');
+            let _ = write!(out, "({node}");
+            open.push(node);
         }
-        let mut s = String::new();
-        go(self, 0, &mut s);
-        s
+        out.extend(std::iter::repeat_n(')', open.len()));
+        out
     }
 }
 
@@ -302,9 +322,11 @@ mod tests {
     fn fig4_structure() {
         let t = fig4_tree();
         assert_eq!(t.len(), 8);
-        assert_eq!(t.children(0), &[1, 2, 3, 5]);
-        assert_eq!(t.children(3), &[4]);
-        assert_eq!(t.children(5), &[6, 7]);
+        let children = |x| t.children(x).collect::<Vec<_>>();
+        assert_eq!(children(0), [1, 2, 3, 5]);
+        assert_eq!(children(3), [4]);
+        assert_eq!(children(5), [6, 7]);
+        assert_eq!(children(7), []);
         assert!(t.has_preorder_property());
         assert_eq!(t.last_arrival(), 7);
     }

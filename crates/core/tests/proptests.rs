@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sm_core::{
-    buffer, consecutive_slots, lengths, merge_cost, receive_all_lengths, MergeTree,
+    buffer, consecutive_slots, lengths, merge_cost, receive_all_lengths, MergeTree, ModelError,
     ReceiveAllProgram, ReceivingProgram,
 };
 
@@ -17,6 +17,83 @@ fn arb_tree(max_n: usize) -> impl Strategy<Value = MergeTree> {
             MergeTree::from_parents(&v).expect("parent < child by construction")
         })
     })
+}
+
+/// Strategy: a tree grown one [`MergeTree::push_arrival`] at a time. Most
+/// arrivals merge into a node on the latest arrival's root path, which keeps
+/// the preorder-traversal property; about one in four picks any earlier node
+/// instead, which usually breaks it.
+fn arb_grown_tree(max_n: usize) -> impl Strategy<Value = MergeTree> {
+    proptest::collection::vec((0usize..4, 0usize..1 << 20), 0..max_n).prop_map(|picks| {
+        let mut tree = MergeTree::singleton();
+        for (kind, pick) in picks {
+            let node = tree.len();
+            let parent = if kind == 0 {
+                pick % node
+            } else {
+                let path = tree.path_from_root(node - 1);
+                path[pick % path.len()]
+            };
+            tree.push_arrival(parent)
+                .expect("parent < node by construction");
+        }
+        tree
+    })
+}
+
+/// Explicit child lists built from the parent array, each in increasing
+/// label order — the stored representation the derived traversals replace,
+/// kept here only as their test oracle.
+fn reference_children(tree: &MergeTree) -> Vec<Vec<usize>> {
+    let mut children = vec![Vec::new(); tree.len()];
+    for (c, p) in tree.to_parents().into_iter().enumerate() {
+        if let Some(p) = p {
+            children[p].push(c);
+        }
+    }
+    children
+}
+
+/// Preorder over explicit child lists, by an explicit stack.
+fn reference_preorder(children: &[Vec<usize>]) -> Vec<usize> {
+    let mut out = Vec::with_capacity(children.len());
+    let mut stack = vec![0usize];
+    while let Some(node) = stack.pop() {
+        out.push(node);
+        stack.extend(children[node].iter().rev());
+    }
+    out
+}
+
+/// S-expression over explicit child lists, by recursion.
+fn reference_sexpr(children: &[Vec<usize>], node: usize) -> String {
+    let mut s = format!("({node}");
+    for &c in &children[node] {
+        s.push(' ');
+        s.push_str(&reference_sexpr(children, c));
+    }
+    s.push(')');
+    s
+}
+
+/// Checks every derived traversal of `tree` against the child-list oracle.
+fn assert_traversals_match_reference(tree: &MergeTree) {
+    let children = reference_children(tree);
+    for (x, kids) in children.iter().enumerate() {
+        assert_eq!(&tree.children(x).collect::<Vec<_>>(), kids, "children({x})");
+    }
+    let preorder = reference_preorder(&children);
+    assert_eq!(&tree.preorder(), &preorder);
+    assert_eq!(tree.to_sexpr(), reference_sexpr(&children, 0));
+    let first_violation = preorder
+        .iter()
+        .enumerate()
+        .find(|&(expected, &found)| expected != found)
+        .map(|(expected, &found)| ModelError::PreorderViolation { expected, found });
+    assert_eq!(tree.check_preorder_property().err(), first_violation);
+    assert_eq!(tree.has_preorder_property(), first_violation.is_none());
+    let max_depth = (0..tree.len()).map(|i| tree.depth(i)).max().unwrap_or(0);
+    assert_eq!(tree.height(), max_depth);
 }
 
 /// Strategy: strictly increasing i64 times of the given length.
@@ -47,6 +124,18 @@ proptest! {
     }
 
     #[test]
+    fn derived_traversals_match_child_lists(tree in arb_tree(30)) {
+        assert_traversals_match_reference(&tree);
+    }
+
+    #[test]
+    fn derived_traversals_match_child_lists_on_grown_trees(tree in arb_grown_tree(40)) {
+        assert_traversals_match_reference(&tree);
+        // Growing is the arrival-at-a-time mirror of the batch constructor.
+        prop_assert_eq!(&MergeTree::from_parents(&tree.to_parents()).unwrap(), &tree);
+    }
+
+    #[test]
     fn last_descendant_is_subtree_max(tree in arb_tree(30)) {
         for x in 0..tree.len() {
             let z = tree.last_descendant(x);
@@ -70,7 +159,7 @@ proptest! {
             prop_assert_eq!(l[x], 2 * z - x as i64 - p);
             prop_assert_eq!(w[x], z - p);
             // Leaves: ℓ = x − p.
-            if tree.children(x).is_empty() {
+            if tree.children(x).next().is_none() {
                 prop_assert_eq!(l[x], x as i64 - p);
             }
             // Receive-all never longer than receive-two.

@@ -106,7 +106,7 @@ mod tests {
         // The right-most subtree of the F_k tree is the F_{k−2} tree; the
         // rest is the F_{k−1} tree (paper, after Fig. 7).
         let t13 = fibonacci_merge_tree(13);
-        let last_child = *t13.children(0).last().unwrap() as usize;
+        let last_child = t13.children(0).last().unwrap();
         assert_eq!(last_child, 8); // split at F_6 = 8
         let t8 = fibonacci_merge_tree(8);
         // Nodes 0..8 of t13 form t8 (same parents).

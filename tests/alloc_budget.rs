@@ -21,6 +21,11 @@
 //! * **dyadic policy** — `DyadicMerger` keeps only the open tree's frame
 //!   stack, so once the stack has reached its working depth the policy's
 //!   pushes allocate nothing at all.
+//! * **forest construction** — a merge tree is two `u32` columns, so
+//!   building the §3 optimum (one optimal tree cloned per tree of the
+//!   forest) and the Delay Guaranteed forest (each tree grown arrival by
+//!   arrival, its columns doubling) allocates a bounded number of times per
+//!   tree, never once per node.
 //! * **serve loop** — the bytes `serve_multi`'s calling thread allocates
 //!   stay flat when the arrivals grow tenfold: a long-running server runs
 //!   in bounded memory.
@@ -74,6 +79,11 @@ const EVENTS_SETUP_BUDGET: u64 = 512;
 /// still double, so the difference is a handful of allocations, never
 /// `O(n)`.
 const EVENTS_GROWTH_SLACK: u64 = 64;
+
+/// Allocation budget per tree for building a whole forest of ~55-node
+/// trees: two columns per tree, each doubling about six times when the tree
+/// is grown arrival by arrival, plus the shared setup spread over the trees.
+const FOREST_ALLOCS_PER_TREE: u64 = 16;
 
 /// A batch replay input: a merge forest and its sorted arrival slots.
 type Workload = (MergeForest, Vec<i64>);
@@ -178,6 +188,32 @@ fn assert_cold_runs_do_not_scale(shape: &str, make: fn(usize) -> Workload) {
 fn events_steady_state_is_allocation_free() {
     assert_cold_runs_do_not_scale("DG grid", dg_grid);
     assert_cold_runs_do_not_scale("flash crowd", flash_crowd_stars);
+}
+
+/// Checks one forest construction against [`FOREST_ALLOCS_PER_TREE`].
+fn assert_forest_allocs_per_tree(shape: &str, n: usize, build: impl FnOnce() -> MergeForest) {
+    let ckpt = alloc_counter::checkpoint();
+    let forest = build();
+    let allocs = ckpt.allocations_since();
+    assert_eq!(forest.total_arrivals(), n);
+    let trees = forest.num_trees() as u64;
+    assert!(
+        allocs <= FOREST_ALLOCS_PER_TREE * trees,
+        "{shape} at n = {n}: {allocs} allocations for {trees} trees, budget is \
+         {FOREST_ALLOCS_PER_TREE} per tree"
+    );
+}
+
+#[test]
+fn forest_construction_allocates_per_tree_not_per_node() {
+    for n in [4_000usize, 16_000] {
+        assert_forest_allocs_per_tree("section 3 optimum", n, || {
+            sm_offline::optimal_forest(MEDIA, n).forest
+        });
+        assert_forest_allocs_per_tree("Delay Guaranteed", n, || {
+            DelayGuaranteedOnline::new(MEDIA).forest_after(n)
+        });
+    }
 }
 
 /// `forest`'s arrivals as the engine's push sequence, in global order.
