@@ -15,7 +15,7 @@ use sm_fib::{fib, theorem12_h};
 use sm_offline::tree_builder::optimal_merge_tree;
 
 use crate::cast::{index_to_usize, nonneg_cost};
-use crate::incremental::{ForestBuilder, MergeDecision};
+use crate::incremental::MergeDecision;
 
 /// The on-line delay-guaranteed server.
 ///
@@ -166,18 +166,24 @@ impl DelayGuaranteedOnline {
     }
 
     /// Materializes the forest the algorithm has committed to after `n`
-    /// slots (full template trees plus a truncated final tree) — a fold of
-    /// [`Self::decision_at`] through a [`ForestBuilder`], so the batch view
-    /// is byte-for-byte what the arrival-at-a-time decision stream builds.
+    /// slots: `⌊n/F_h⌋` clones of the template plus, for the last
+    /// `n mod F_h` slots, the template cut to its first arrivals. The
+    /// `dg_forest_after_matches_the_decision_fold` proptest (crate module
+    /// `incremental`) pins it to the fold of [`Self::decision_at`] through a
+    /// [`ForestBuilder`](crate::incremental::ForestBuilder), the forest the
+    /// arrival-at-a-time decision stream builds.
     pub fn forest_after(&self, n: usize) -> MergeForest {
         assert!(n >= 1);
-        let mut builder = ForestBuilder::new();
-        for slot in 0..n as u64 {
-            builder
-                .apply(&self.decision_at(slot))
-                .expect("template decisions are structurally valid");
+        let size = self.template.len();
+        let mut trees = Vec::with_capacity(n.div_ceil(size));
+        trees.extend(std::iter::repeat_n(&self.template, n / size).cloned());
+        let rem = n % size;
+        if rem > 0 {
+            let parents: Vec<_> = (0..rem).map(|i| self.template.parent(i)).collect();
+            let prefix = MergeTree::from_parents(&parents).expect("a template prefix is a tree");
+            trees.push(prefix);
         }
-        builder.finish().expect("n >= 1 opens a tree")
+        MergeForest::from_trees(trees).expect("n >= 1 opens a tree")
     }
 }
 

@@ -10,11 +10,11 @@
 //! the dyadic baseline — both trivially within the `O(log open-trees)`
 //! budget, since at most one tree is ever open).
 //!
-//! The batch functions are reimplemented as a *fold* over the decision
-//! stream through [`ForestBuilder`], so there is exactly one source of
-//! structural truth: what the fold builds is what the push-based serving
-//! engine (`sm-sim`'s `engine::incremental`, `sm-serve`'s ingest loop)
-//! executes.
+//! The dyadic batch function is a *fold* over the decision stream through
+//! [`ForestBuilder`]; the delay-guaranteed `forest_after` clones its
+//! template instead and is pinned to that fold by proptest. Either way what
+//! the batch view builds is what the push-based serving engine (`sm-sim`'s
+//! `engine::incremental`, `sm-serve`'s ingest loop) executes.
 
 use sm_core::{MergeForest, MergeTree, ModelError};
 
@@ -147,9 +147,10 @@ impl From<ModelError> for DecisionError {
 }
 
 /// Folds a [`MergeDecision`] stream back into the committed
-/// [`MergeForest`] — the single reconstruction path every batch function
-/// now goes through. Each decision is `O(depth)` via
-/// [`MergeTree::push_arrival`]; nothing is re-derived from the prefix.
+/// [`MergeForest`] — the dyadic batch path, and the reference the
+/// delay-guaranteed `forest_after` is pinned to. Each decision is
+/// `O(depth)` via [`MergeTree::push_arrival`]; nothing is re-derived from
+/// the prefix.
 #[derive(Debug, Default)]
 pub struct ForestBuilder {
     trees: Vec<MergeTree>,
@@ -207,6 +208,7 @@ impl ForestBuilder {
 mod tests {
     use super::*;
     use crate::dyadic::DyadicConfig;
+    use proptest::prelude::*;
 
     /// Folding a policy's decision stream through the builder.
     fn fold<P: IncrementalPolicy>(policy: &mut P, times: &[f64]) -> MergeForest {
@@ -217,19 +219,34 @@ mod tests {
         b.finish().unwrap()
     }
 
-    #[test]
-    fn dg_fold_matches_forest_after() {
-        for (l, n) in [(15u64, 30usize), (15, 8), (15, 21), (4, 16), (100, 130)] {
-            let mut alg = DelayGuaranteedOnline::new(l);
+    proptest! {
+        /// The clone-built `forest_after` equals the fold of the policy's
+        /// decision stream, on unbounded and buffer-bounded templates, at
+        /// `n = F_h`, `F_h + 1`, below `F_h` and anywhere up to `4·F_h`.
+        #[test]
+        fn dg_forest_after_matches_the_decision_fold(
+            l in 1u64..=300,
+            buffer in 0u64..=160,
+            bounded in 0u8..2,
+            pick in 0u8..4,
+            frac in 0.0f64..1.0,
+        ) {
+            let mut alg = if bounded == 1 {
+                DelayGuaranteedOnline::with_buffer_bound(l, buffer)
+            } else {
+                DelayGuaranteedOnline::new(l)
+            };
+            let fh = alg.tree_size() as usize;
+            let n = match pick {
+                0 => fh,
+                1 => fh + 1,
+                2 => 1 + (frac * (fh - 1) as f64) as usize,
+                _ => 1 + (frac * (4 * fh) as f64) as usize,
+            };
             let batch = alg.forest_after(n);
             let times: Vec<f64> = (0..n).map(|k| k as f64).collect();
-            let folded = fold(&mut alg, &times);
-            assert_eq!(
-                folded.trees(),
-                batch.trees(),
-                "L = {l}, n = {n}: the fold and the batch reconstruction disagree"
-            );
-            assert_eq!(alg.arrivals(), n);
+            prop_assert_eq!(fold(&mut alg, &times), batch, "L = {}, n = {}", l, n);
+            prop_assert_eq!(alg.arrivals(), n);
         }
     }
 

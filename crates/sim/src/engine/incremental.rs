@@ -61,7 +61,8 @@
 //!
 //! * part `q` is broadcast in slot `t_j + q − 1` and plays in slot
 //!   `t_c + q − 1`, so the *slack* `t_c − t_j` and the *stall* condition
-//!   `t_j > t_c` are constant across the segment;
+//!   `t_j > t_c` are constant across the segment (the latter is the model's
+//!   `ParentNotEarlier` check, so a program that passes it cannot stall);
 //! * reception occupies the slot interval `[t_j+first−1, t_j+last−1]`, so
 //!   receive-two compliance is interval-overlap ≤ 2;
 //! * buffer occupancy `received(τ) − played(τ)` is piecewise linear in `τ`
@@ -71,14 +72,16 @@
 //!   parts)` prefix — `O(segments log segments)` total, never
 //!   candidates × segments.
 //!
-//! All per-client evaluation state lives in one `EngineScratch` reused
-//! across every client of the run; a client's receiving program is its
-//! root path, read off the parent column. The pointer-based
-//! `MergeTree`/`ReceivingProgram` stay the validated constructors; the
-//! dense oracle keeps using them directly, so the column form itself is
-//! cross-checked. The `engine_equivalence` proptest suite pins this engine
-//! bit-identical (reports, emission order, summary, first error) to the
-//! dense oracle on every sorted input.
+//! A client's receiving program is its root path, so one walk from the
+//! client up the parent column evaluates it: each segment's closed forms,
+//! its model and stream checks, and its receive interval's endpoints, in
+//! part order, with no program stored. The only per-client state is the
+//! two endpoint buffers of one `EngineScratch`, reused across every client
+//! of the run. The pointer-based `MergeTree`/`ReceivingProgram` stay the
+//! validated constructors; the dense oracle keeps using them directly, so
+//! the column form itself is cross-checked. The `engine_equivalence`
+//! proptest suite pins this engine bit-identical (reports, emission order,
+//! summary, first error) to the dense oracle on every sorted input.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -576,21 +579,13 @@ pub fn simulate_incremental<F: FnMut(ClientReport)>(
     engine.finish(&mut emit).map_err(IngestError::Sim)
 }
 
-/// Reusable per-client evaluation buffers: one allocation set for a whole
-/// run instead of one per client. The receiving program is held in
-/// struct-of-arrays form (`seg_stream`/`seg_first`/`seg_last` parallel
-/// columns) — the column counterpart of `ReceivingProgram`, rebuilt in
-/// place with identical output and identical `verify` semantics. Shared
+/// Reusable per-client endpoint buffers: one allocation set for a whole
+/// run instead of one per client. [`eval_client`] walks the client's root
+/// path straight off the parent column and pushes each non-empty segment's
+/// receive interval here; nothing else of the program is stored. Shared
 /// across every client of an [`IncrementalEngine`] run.
 #[derive(Debug, Default)]
 struct EngineScratch {
-    /// Root path of the client under evaluation (local indices).
-    path: Vec<usize>,
-    /// Receiving-program segments in part order, struct-of-arrays: source
-    /// stream (local index), first and last part (1-based, inclusive).
-    seg_stream: Vec<usize>,
-    seg_first: Vec<i64>,
-    seg_last: Vec<i64>,
     /// Interval start slots, sorted ascending.
     starts: Vec<i64>,
     /// Exclusive interval end slots (`hi + 1`), sorted ascending.
@@ -598,93 +593,15 @@ struct EngineScratch {
 }
 
 impl EngineScratch {
-    /// Rebuilds `client`'s receiving program into the segment columns and
-    /// verifies it in the same pass — the struct-of-arrays fusion of
-    /// `ReceivingProgram::build` + `verify`: bit-identical segments and
-    /// errors (build is infallible and verify rejects at the first
-    /// offending segment in part order — exactly the order segments are
-    /// generated here, so checking each segment as it is built reports the
-    /// identical first error), no per-client allocation once the columns
-    /// have capacity.
-    fn rebuild_and_verify_program(
-        &mut self,
-        parent: &[usize],
-        times: &[i64],
-        media: i64,
-        client: usize,
-    ) -> Result<(), ModelError> {
-        debug_assert_eq!(times.len(), parent.len());
-        self.path.clear();
-        let mut cur = client;
-        self.path.push(cur);
-        while cur != 0 {
-            cur = parent[cur];
-            self.path.push(cur);
-        }
-        self.path.reverse();
-        let path = &self.path;
-        let k = path.len() - 1;
-        let tk = times[path[k]];
-        let client_time = times[client];
-        self.seg_stream.clear();
-        self.seg_first.clear();
-        self.seg_last.clear();
-        let mut expected = 1i64;
-        // j runs from the client's own stream (j = k) down to the root;
-        // the three path times each closed form reads (`t_{j+1}`, `t_j`,
-        // `t_{j−1}`) shift through registers so each level costs a single
-        // `times` load.
-        let mut t_above = tk;
-        let mut tj = tk;
-        for j in (0..=k).rev() {
-            let t_below = if j == 0 { 0 } else { times[path[j - 1]] };
-            let first = 2 * tk - t_above - tj + 1;
-            let last = if j == 0 { media } else { 2 * tk - tj - t_below };
-            self.seg_stream.push(path[j]);
-            self.seg_first.push(first);
-            self.seg_last.push(last);
-            if last >= first {
-                if first < 1 || last > media {
-                    let part = if first < 1 { first } else { last };
-                    return Err(ModelError::PartOutOfRange { part });
-                }
-                if first != expected {
-                    return Err(ModelError::CoverageGap {
-                        expected_part: expected,
-                        found_part: first,
-                    });
-                }
-                // Timeliness: part q is received during slot
-                // [t_stream + q − 1, t_stream + q) and played during
-                // [t_client + q − 1, t_client + q); the source must not be
-                // later than the client (guaranteed by parent < child,
-                // re-checked here against the actual times).
-                if tj > client_time {
-                    return Err(ModelError::ParentNotEarlier {
-                        node: client,
-                        parent: path[j],
-                    });
-                }
-                expected = last + 1;
-            }
-            t_above = tj;
-            tj = t_below;
-        }
-        if expected != media + 1 {
-            return Err(ModelError::CoverageGap {
-                expected_part: expected,
-                found_part: media + 1,
-            });
-        }
-        Ok(())
-    }
-
-    /// Sorts the endpoint views if needed. The hot path pushes endpoints in
-    /// part order, which the closed forms keep sorted for every program the
-    /// verify pass admits on sorted arrivals, so the common case is a single
-    /// ordered scan with no swap; the sorts only fire on adversarial inputs
-    /// (and produce exactly what sorting the part-order endpoints always
-    /// produced, so behavior is unchanged either way).
+    /// Sorts the endpoint buffers if needed. They are pushed in part order,
+    /// client's stream first. The starts `t_j + first − 1 = 2t_c − t_{j+1}`
+    /// always come out sorted that way, since path times fall toward the
+    /// root. The ends `t_j + last = 2t_c − t_{j−1}` do too, except the root
+    /// segment's `t_0 + L`: it lands before segment 1's end `2t_c − t_0`
+    /// whenever `t_c − t_0 > L/2`, which valid programs reach (the Delay
+    /// Guaranteed grid at `L = 7` gives ends `[5, 8, 7]`). So the end sort
+    /// fires in steady state, for every client that far behind its root;
+    /// each sort is skipped only when its buffer is already sorted.
     fn sort_endpoints(&mut self) {
         if !self.starts.is_sorted() {
             self.starts.sort_unstable();
@@ -768,6 +685,14 @@ fn endpoint_sweep(scratch: &EngineScratch, t_c: i64, media: i64) -> SweepOutcome
 /// Checks one client's program against its tree's schedule and measures it,
 /// in `O(segments log segments)` arithmetic — no per-slot state, no
 /// allocation (everything lives in `scratch`).
+///
+/// One walk from the client up the parent column visits the segments in
+/// part order (`j = k … 0`, the order `ReceivingProgram::build` lists them):
+/// each segment's closed forms, its checks and its endpoint pushes happen on
+/// the way. The error precedence is the dense oracle's, which verifies the
+/// whole program before it replays any stream: a model error returns at
+/// once, while the first "stream too short" waits until the walk has found
+/// no model error on a later segment.
 fn eval_client(
     tree: Tree<'_>,
     local: usize,
@@ -778,55 +703,77 @@ fn eval_client(
     let media = media_len as i64;
     let t_c = tree.times[local];
     let global = tree.base + local;
+    let model = |e: ModelError| Err(SimError::Model(e));
 
-    scratch
-        .rebuild_and_verify_program(tree.parent, tree.times, media, local)
-        .map_err(SimError::Model)?;
-
-    // Per-segment closed forms, pushing each non-empty segment's inclusive
-    // receive-slot interval straight into the endpoint views.
     let mut min_slack = i64::MAX;
+    let mut too_short = None;
+    let mut expected = 1i64;
     scratch.starts.clear();
     scratch.ends.clear();
-    for s in 0..scratch.seg_stream.len() {
-        let (first, last) = (scratch.seg_first[s], scratch.seg_last[s]);
-        if last < first {
-            continue;
+    // Segment j reads `t_{j+1}`, `t_j` and `t_{j−1}` (with `t_{k+1} = t_k`
+    // and the root's upper bound replaced by `L`); the three path times
+    // shift through registers, so each level costs a single `times` load.
+    let (mut stream, mut tj, mut t_above) = (local, t_c, t_c);
+    loop {
+        let up = tree.parent[stream];
+        let (t_below, last) = match stream {
+            0 => (0, media),
+            _ => (tree.times[up], 2 * t_c - tj - tree.times[up]),
+        };
+        let first = 2 * t_c - t_above - tj + 1;
+        if last >= first {
+            if first < 1 || last > media {
+                let part = if first < 1 { first } else { last };
+                return model(ModelError::PartOutOfRange { part });
+            }
+            if first != expected {
+                return model(ModelError::CoverageGap {
+                    expected_part: expected,
+                    found_part: first,
+                });
+            }
+            // Timeliness: part q is received during slot [t_j + q − 1,
+            // t_j + q) and played during [t_c + q − 1, t_c + q), so the
+            // source must not start after the client. This is also the
+            // dense replay's stall predicate (`t_j > t_c` on a non-empty
+            // segment), which therefore never fires past this check.
+            if tj > t_c {
+                return model(ModelError::ParentNotEarlier {
+                    node: local,
+                    parent: stream,
+                });
+            }
+            expected = last + 1;
+            // The replay's first missing part: `first` itself when the
+            // stream ends before the segment starts, else `length + 1`.
+            let length = tree.lengths[stream];
+            if last > length && too_short.is_none() {
+                too_short = Some(SimError::StreamTooShort {
+                    client: global,
+                    stream: tree.base + stream,
+                    part: first.max(length + 1),
+                    length,
+                });
+            }
+            // Part q arrives at the end of slot t_j + q − 1 and plays in
+            // slot t_c + q − 1: slack is t_c − t_j for every part.
+            min_slack = min_slack.min(t_c - tj);
+            scratch.starts.push(tj + first - 1);
+            scratch.ends.push(tj + last);
         }
-        let stream = scratch.seg_stream[s];
-        let (start, length) = (tree.times[stream], tree.lengths[stream]);
-        // Mirrors the dense per-part loop's error precedence: for each part
-        // in order, "stream too short" is checked before "stall", so the
-        // first failing part decides the variant.
-        if first > length {
-            return Err(SimError::StreamTooShort {
-                client: global,
-                stream: tree.base + stream,
-                part: first,
-                length,
-            });
+        if stream == 0 {
+            break;
         }
-        if start > t_c {
-            return Err(SimError::Stall {
-                client: global,
-                part: first,
-                received: start + first - 1,
-                deadline: t_c + first - 1,
-            });
-        }
-        if last > length {
-            return Err(SimError::StreamTooShort {
-                client: global,
-                stream: tree.base + stream,
-                part: length + 1,
-                length,
-            });
-        }
-        // Part q arrives at the end of slot t_j + q − 1 and plays in slot
-        // t_c + q − 1: slack is t_c − t_j for every part of the segment.
-        min_slack = min_slack.min(t_c - start);
-        scratch.starts.push(start + first - 1);
-        scratch.ends.push(start + last);
+        (stream, t_above, tj) = (up, tj, t_below);
+    }
+    if expected != media + 1 {
+        return model(ModelError::CoverageGap {
+            expected_part: expected,
+            found_part: media + 1,
+        });
+    }
+    if let Some(e) = too_short {
+        return Err(e);
     }
     scratch.sort_endpoints();
 
@@ -1233,45 +1180,149 @@ mod tests {
         assert_eq!(sweep_with(&[], 0, 0), 0);
     }
 
+    /// Evaluates local client `client` of a hand-built tree rooted at
+    /// global arrival 10, with `lengths` standing in for the Lemma-1 stream
+    /// lengths (so a stream can be made too short on purpose).
+    fn eval_hand_built(
+        parent: &[usize],
+        times: &[i64],
+        lengths: &[i64],
+        media_len: u64,
+        client: usize,
+    ) -> Result<ClientReport, SimError> {
+        let tree = Tree {
+            base: 10,
+            parent,
+            times,
+            lengths,
+        };
+        let config = SimConfig::default();
+        eval_client(
+            tree,
+            client,
+            media_len,
+            config,
+            &mut EngineScratch::default(),
+        )
+    }
+
     #[test]
-    fn soa_program_matches_receiving_program_rebuild() {
-        // The scratch's SoA rebuild + verify must agree with the
-        // pointer-based `ReceivingProgram` on the paper's Fig. 4 tree,
-        // client by client, segment by segment.
-        let tree = MergeTree::from_parents(&[
-            None,
-            Some(0),
-            Some(0),
-            Some(0),
-            Some(3),
-            Some(0),
-            Some(5),
-            Some(5),
-        ])
-        .unwrap();
-        let times = consecutive_slots(8);
-        let parent: Vec<usize> = tree.to_parents().iter().map(|p| p.unwrap_or(0)).collect();
-        let mut scratch = EngineScratch::default();
-        for client in 0..tree.len() {
-            let prog = ReceivingProgram::build(&tree, &times, 15, client);
-            let verdict = scratch.rebuild_and_verify_program(&parent, &times, 15, client);
-            assert_eq!(verdict, prog.verify(&times, 15), "client {client}");
-            assert_eq!(scratch.path, prog.path, "client {client}");
-            let soa: Vec<(usize, i64, i64)> = (0..scratch.seg_stream.len())
-                .map(|s| {
-                    (
-                        scratch.seg_stream[s],
-                        scratch.seg_first[s],
-                        scratch.seg_last[s],
-                    )
-                })
+    fn one_walk_matches_receiving_program() {
+        // Model verdict and receive intervals must agree with the
+        // pointer-based `ReceivingProgram` client by client, on the paper's
+        // Fig. 4 tree and on pseudo-random trees over sorted times whose
+        // spans run past the media (coverage and part-range errors). Full
+        // lengths keep the stream checks out of the way.
+        let mut state = 0x4528_21E6_38D0_1377u64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut cases = vec![(fig4_forest().trees()[0].clone(), consecutive_slots(8), 15)];
+        for _ in 0..200 {
+            let n = 1 + next(12) as usize;
+            let parents: Vec<Option<usize>> = (0..n)
+                .map(|i| (i > 0).then(|| next(i as u64) as usize))
                 .collect();
-            let reference: Vec<(usize, i64, i64)> = prog
-                .segments
-                .iter()
-                .map(|seg| (seg.stream, seg.first_part, seg.last_part))
-                .collect();
-            assert_eq!(soa, reference, "client {client}");
+            let mut times = vec![0i64; n];
+            for i in 1..n {
+                times[i] = times[i - 1] + next(4) as i64;
+            }
+            let tree = MergeTree::from_parents(&parents).unwrap();
+            cases.push((tree, times, 1 + next(20)));
         }
+        for (tree, times, media) in cases {
+            let parent: Vec<usize> = tree.to_parents().iter().map(|p| p.unwrap_or(0)).collect();
+            let lengths = vec![media as i64; tree.len()];
+            for client in 0..tree.len() {
+                let prog = ReceivingProgram::build(&tree, &times, media, client);
+                let mut scratch = EngineScratch::default();
+                let view = Tree {
+                    base: 0,
+                    parent: &parent,
+                    times: &times,
+                    lengths: &lengths,
+                };
+                let got = eval_client(view, client, media, SimConfig::default(), &mut scratch);
+                let case = format!("{tree:?} at {times:?}, L = {media}, client {client}");
+                match prog.verify(&times, media) {
+                    Err(e) => assert_eq!(got, Err(SimError::Model(e)), "{case}"),
+                    Ok(()) => {
+                        assert!(!matches!(got, Err(SimError::Model(_))), "{case}");
+                        let (mut starts, mut ends): (Vec<i64>, Vec<i64>) = prog
+                            .segments
+                            .iter()
+                            .filter(|seg| !seg.is_empty())
+                            .map(|seg| {
+                                let t = times[seg.stream];
+                                (t + seg.first_part - 1, t + seg.last_part)
+                            })
+                            .unzip();
+                        starts.sort_unstable();
+                        ends.sort_unstable();
+                        assert_eq!((scratch.starts, scratch.ends), (starts, ends), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stream_too_short_loses_to_a_later_part_out_of_range() {
+        // Client 2 (times 0, 3, 6; L = 8) takes parts [1, 3] from its own
+        // stream, which is cut to length 0, then [4, 9] from stream 1:
+        // part 9 is past the media, and that model error wins.
+        let got = eval_hand_built(&[0, 0, 1], &[0, 3, 6], &[8, 9, 0], 8, 2);
+        assert_eq!(
+            got,
+            Err(SimError::Model(ModelError::PartOutOfRange { part: 9 }))
+        );
+    }
+
+    #[test]
+    fn stream_too_short_loses_to_a_later_coverage_gap() {
+        // Unsorted times (root at 5, stream 1 at 0, client 2 at 4): the
+        // client's own segment [1, 4] runs off its too-short stream, the
+        // segment from stream 1 is empty, and the root's starts at part 4,
+        // not 5. The gap wins, exactly as `ReceivingProgram::verify` says.
+        let (parent, times) = ([0, 0, 1], [5, 0, 4]);
+        let got = eval_hand_built(&parent, &times, &[10, 10, 2], 10, 2);
+        let gap = ModelError::CoverageGap {
+            expected_part: 5,
+            found_part: 4,
+        };
+        assert_eq!(got, Err(SimError::Model(gap.clone())));
+        let tree = MergeTree::from_parents(&[None, Some(0), Some(1)]).unwrap();
+        let prog = ReceivingProgram::build(&tree, &times, 10, 2);
+        assert_eq!(prog.verify(&times, 10), Err(gap));
+    }
+
+    #[test]
+    fn stream_too_short_on_a_clean_program_names_the_first_missing_part() {
+        // The chain 0 ← 1 ← 2 at slots 0, 1, 2 with L = 10: client 2 takes
+        // part 1 from stream 2, parts [2, 3] from stream 1 and [4, 10] from
+        // the root (Lemma-1 lengths 10, 3, 1).
+        let (parent, times) = ([0, 0, 1], [0, 1, 2]);
+        let too_short = |stream: usize, part: i64, length: i64| {
+            Err(SimError::StreamTooShort {
+                client: 12,
+                stream: 10 + stream,
+                part,
+                length,
+            })
+        };
+        let eval = |lengths: [i64; 3]| eval_hand_built(&parent, &times, &lengths, 10, 2);
+        assert!(eval([10, 3, 1]).is_ok());
+        // The stream ends before its segment starts: the segment's first
+        // part, not the one after the stream's end.
+        assert_eq!(eval([10, 0, 1]), too_short(1, 2, 0));
+        assert_eq!(eval([2, 3, 1]), too_short(0, 4, 2));
+        // The stream ends inside its segment: the part after its end.
+        assert_eq!(eval([10, 2, 1]), too_short(1, 3, 2));
+        assert_eq!(eval([5, 3, 1]), too_short(0, 6, 5));
+        // Two short streams: the first in part order (the client's own).
+        assert_eq!(eval([5, 1, 0]), too_short(2, 1, 0));
     }
 }

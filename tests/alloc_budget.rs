@@ -81,9 +81,10 @@ const EVENTS_SETUP_BUDGET: u64 = 512;
 const EVENTS_GROWTH_SLACK: u64 = 64;
 
 /// Allocation budget per tree for building a whole forest of ~55-node
-/// trees: two columns per tree, each doubling about six times when the tree
-/// is grown arrival by arrival, plus the shared setup spread over the trees.
-const FOREST_ALLOCS_PER_TREE: u64 = 16;
+/// trees: both builders clone a ready-made template, two columns per tree,
+/// plus the shared setup (the template, and for Delay Guaranteed its
+/// per-position receiving programs) spread over the trees.
+const FOREST_ALLOCS_PER_TREE: u64 = 5;
 
 /// A batch replay input: a merge forest and its sorted arrival slots.
 type Workload = (MergeForest, Vec<i64>);
